@@ -1,6 +1,7 @@
-//! Drives the PPUF verification service with concurrent honest,
-//! impostor, and garbage clients over real TCP and writes a throughput /
-//! latency-percentile report under `results/service/`.
+//! Drives the PPUF verification service (the epoll `AsyncServer`) with
+//! concurrent honest, impostor, and garbage clients over real TCP and
+//! writes a throughput / latency-percentile report under
+//! `results/service/`.
 //!
 //! ```text
 //! # thread-per-client blocking cohorts (wire 1.x)
@@ -19,7 +20,10 @@
 //!     --connections 10000 --wire binary
 //! ```
 //!
-//! `--smoke` selects the CI profile (small device, 2 workers) and
+//! `--workers N` sets the server's dispatch threads — the answers it
+//! verifies in parallel.
+//!
+//! `--smoke` selects the CI profile (small device, 2 dispatch threads) and
 //! additionally *checks* its invariants, exiting non-zero if any fails —
 //! honest traffic accepted, impostors rejected on the deadline, garbage
 //! answered with structured errors, and (async mode) every binary
@@ -86,7 +90,7 @@ fn async_config(smoke: bool, connections: usize) -> AsyncLoadgenConfig {
         };
     }
     if let Some(n) = arg_after("--workers").and_then(|v| v.parse().ok()) {
-        config.workers = n;
+        config.dispatch_threads = n;
     }
     if let Some(n) = arg_after("--nodes").and_then(|v| v.parse().ok()) {
         config.nodes = n;
@@ -115,8 +119,6 @@ fn serve_forever() -> ! {
     let template = async_config(has_flag("--smoke"), 0);
     let addr = arg_after("--addr").unwrap_or_else(|| "127.0.0.1:4747".to_string());
     let service = VerificationService::new(ServiceConfig {
-        workers: template.workers,
-        queue_capacity: template.queue_capacity,
         deadline: Some(Seconds(template.deadline_s)),
         challenge_pool: template.challenge_pool,
         seed: template.seed,
@@ -139,8 +141,8 @@ fn serve_forever() -> ! {
     section("async server");
     println!("  listening on {} (kill the process to stop)", server.local_addr());
     println!(
-        "  {} dispatch threads over {} verifier workers, connection cap {}",
-        template.dispatch_threads, template.workers, template.max_connections
+        "  {} dispatch threads, connection cap {}",
+        template.dispatch_threads, template.max_connections
     );
     loop {
         std::thread::park();
@@ -254,11 +256,10 @@ fn main() {
 
     section(&format!("loadgen: {}", config.label));
     println!(
-        "  device n={} grid={}  {} workers, queue {}  deadline {} s  {} total requests",
+        "  device n={} grid={}  {} dispatch threads  deadline {} s  {} total requests",
         config.nodes,
         config.grid,
         config.workers,
-        config.queue_capacity,
         config.deadline_s,
         config.total_requests()
     );

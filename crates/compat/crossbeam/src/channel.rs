@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// Creates a channel holding at most `cap` in-flight messages.
 ///
 /// `send` blocks while the channel is full; `try_send` fails instead —
-/// that is the backpressure primitive the server's worker pool builds on.
+/// that is the backpressure primitive the server's dispatch queue builds on.
 /// A capacity of zero is bumped to one (upstream's zero-capacity channel
 /// is a rendezvous; nothing in this workspace uses one).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {

@@ -14,7 +14,7 @@
 //! fingerprints are 64-bit [`SipHash`](std::collections::hash_map::DefaultHasher)
 //! digests, so a false hit needs a ~2⁻⁶⁴ collision on a non-adversarial
 //! hash of the full flow function. The map is split into shards, each
-//! behind its own mutex, so worker threads do not serialize on one lock.
+//! behind its own mutex, so dispatch threads do not serialize on one lock.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

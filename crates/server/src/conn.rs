@@ -11,13 +11,13 @@
 //! [`crate::reactor`] owns readiness, dispatch, and lifecycle.
 //!
 //! [`TransportStats`] is the transport-tier counter block shared between
-//! the reactor and the service's Prometheus exposition (`ppuf_conn_*` /
-//! `ppuf_reactor_*` gauges).
+//! the reactor and the service's Prometheus exposition (`ppuf_conn_*`,
+//! `ppuf_reactor_*` and the dispatch pool's `ppuf_pool_*` gauges).
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use ppuf_telemetry::TraceId;
@@ -41,9 +41,12 @@ pub struct TransportStats {
     rejected: AtomicU64,
     /// Connections reaped by the idle-timeout / read-deadline sweep.
     reaped: AtomicU64,
-    /// Requests answered `Overloaded` by the reactor because the dispatch
-    /// queue was full (never reached the service).
-    shed_requests: AtomicU64,
+    /// Requests waiting in the dispatch queue: raised by the reactor on
+    /// enqueue, lowered by a dispatch thread on dequeue (which may land
+    /// first, so it can dip below zero for an instant).
+    queued: AtomicI64,
+    /// Threads serving the dispatch queue.
+    dispatch_threads: u64,
     requests_json: AtomicU64,
     requests_binary: AtomicU64,
     loop_iterations: AtomicU64,
@@ -51,9 +54,10 @@ pub struct TransportStats {
 }
 
 impl TransportStats {
-    /// Fresh, all-zero counter block.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh, all-zero counter block for a transport whose dispatch queue
+    /// is served by `dispatch_threads` threads.
+    pub fn new(dispatch_threads: usize) -> Self {
+        TransportStats { dispatch_threads: dispatch_threads as u64, ..Self::default() }
     }
 
     pub(crate) fn conn_opened(&self) {
@@ -75,8 +79,12 @@ impl TransportStats {
         self.reaped.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn request_shed(&self) {
-        self.shed_requests.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn request_queued(&self) {
+        self.queued.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn request_dequeued(&self) {
+        self.queued.fetch_sub(1, Ordering::Relaxed);
     }
 
     pub(crate) fn request_parsed(&self, mode: WireMode) {
@@ -116,11 +124,6 @@ impl TransportStats {
         self.reaped.load(Ordering::Relaxed)
     }
 
-    /// Total requests shed with `Overloaded` before reaching the service.
-    pub fn shed_requests(&self) -> u64 {
-        self.shed_requests.load(Ordering::Relaxed)
-    }
-
     /// The transport gauge list merged into the service's Prometheus
     /// exposition.
     pub fn gauges(&self) -> Vec<(String, f64)> {
@@ -131,11 +134,12 @@ impl TransportStats {
             ("ppuf_conn_closed_total", self.closed.load(Ordering::Relaxed)),
             ("ppuf_conn_rejected_total", self.rejected.load(Ordering::Relaxed)),
             ("ppuf_conn_reaped_total", self.reaped.load(Ordering::Relaxed)),
-            ("ppuf_conn_shed_requests_total", self.shed_requests.load(Ordering::Relaxed)),
             ("ppuf_conn_requests_json_total", self.requests_json.load(Ordering::Relaxed)),
             ("ppuf_conn_requests_binary_total", self.requests_binary.load(Ordering::Relaxed)),
             ("ppuf_reactor_loops_total", self.loop_iterations.load(Ordering::Relaxed)),
             ("ppuf_reactor_events_total", self.readiness_events.load(Ordering::Relaxed)),
+            ("ppuf_pool_queue_depth", self.queued.load(Ordering::Relaxed).max(0) as u64),
+            ("ppuf_pool_workers", self.dispatch_threads),
         ]
         .into_iter()
         .map(|(name, value)| (name.to_string(), value as f64))
@@ -654,7 +658,7 @@ mod tests {
 
     #[test]
     fn transport_stats_track_peak_and_open() {
-        let stats = TransportStats::new();
+        let stats = TransportStats::new(2);
         stats.conn_opened();
         stats.conn_opened();
         stats.conn_closed();
@@ -667,5 +671,6 @@ mod tests {
         assert_eq!(get("ppuf_conn_open"), Some(2.0));
         assert_eq!(get("ppuf_conn_peak"), Some(2.0));
         assert_eq!(get("ppuf_conn_accepted_total"), Some(3.0));
+        assert_eq!(get("ppuf_pool_workers"), Some(2.0));
     }
 }

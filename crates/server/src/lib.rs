@@ -11,14 +11,14 @@
 //! - a per-device [`ChallengeIssuer`](ppuf_core::protocol::issuer) minting
 //!   nonce-bound, deadline-stamped challenges and rejecting replays and
 //!   expired sessions;
-//! - a [`WorkerPool`] of verifier threads behind a
-//!   bounded queue with explicit backpressure (`Overloaded` + retry hint
-//!   instead of unbounded buffering);
 //! - a sharded [`VerificationCache`] so a
 //!   repeated (device, challenge, answer) triple skips the residual-BFS
 //!   optimality passes;
-//! - a length-prefixed JSON-over-TCP front-end ([`tcp::PpufServer`] /
-//!   [`tcp::Client`]) on `std::net`;
+//! - an epoll front-end ([`AsyncServer`]) speaking length-prefixed JSON
+//!   (wire 1.x) and binary frames (wire 2.0), whose bounded dispatch
+//!   queue is the service's one queue, with explicit backpressure
+//!   (`Overloaded` + retry hint instead of unbounded buffering), plus a
+//!   blocking wire-1.x [`tcp::Client`];
 //! - a [`loadgen`] module driving concurrent honest, impostor, and
 //!   garbage clients over real sockets and reporting throughput and
 //!   latency percentiles.
@@ -35,13 +35,14 @@
 //! use ppuf_core::protocol::auth::prove;
 //! use ppuf_analog::variation::Environment;
 //! use ppuf_server::service::{ServiceConfig, VerificationService};
-//! use ppuf_server::tcp::{Client, PpufServer};
+//! use ppuf_server::tcp::Client;
 //! use ppuf_server::wire::{Request, Response};
+//! use ppuf_server::{AsyncConfig, AsyncServer};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let ppuf = Ppuf::generate(PpufConfig::paper(6, 2), 1)?;
 //! let service = Arc::new(VerificationService::new(ServiceConfig::default()));
-//! let server = PpufServer::bind("127.0.0.1:0", service)?;
+//! let server = AsyncServer::bind("127.0.0.1:0", service, AsyncConfig::default())?;
 //!
 //! let mut client = Client::connect(server.local_addr())?;
 //! client.request(&Request::Register {
@@ -67,7 +68,6 @@ pub mod conn;
 pub mod health;
 pub mod loadgen;
 pub mod mux;
-pub mod pool;
 pub mod reactor;
 pub mod registry;
 pub mod service;
@@ -80,9 +80,8 @@ pub use health::{
     HealthReport, HealthStatus, HealthTracker, RequestOutcome, SloConfig, SloVerdict,
 };
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
-pub use pool::{SubmitError, VerifyOutcome, WorkerPool};
 pub use reactor::{AsyncConfig, AsyncServer};
 pub use registry::{DeviceEntry, DeviceRegistry};
 pub use service::{ServiceConfig, VerificationService};
-pub use tcp::{Client, PpufServer};
+pub use tcp::Client;
 pub use wire::{ErrorKind, Request, Response};

@@ -1,9 +1,9 @@
 //! Load generator: concurrent honest, impostor, and garbage clients
 //! against a live TCP server, with latency-percentile reporting.
 //!
-//! [`run_loadgen`] stands up a real [`PpufServer`] on a loopback port,
-//! registers one generated device, and drives three client cohorts over
-//! real sockets:
+//! [`run_loadgen`] stands up a real [`AsyncServer`] on a loopback port,
+//! registers one generated device, and drives three cohorts of blocking
+//! wire-1.x clients (one thread each) over real sockets:
 //!
 //! - **honest** clients answer from the device's fast path and must be
 //!   accepted;
@@ -14,6 +14,9 @@
 //! - **garbage** clients send malformed frames, non-requests, and bogus
 //!   nonces and must receive structured errors, never dropped
 //!   connections.
+//!
+//! [`run_async_loadgen`] drives the same cohorts from one multiplexed
+//! event-loop client instead, over thousands of connections.
 //!
 //! The run report carries client-side latency percentiles (from a
 //! bounded [`LogHistogram`] per cohort — fixed memory no matter how long
@@ -37,8 +40,9 @@ use ppuf_telemetry::{
 };
 
 use crate::health::{HealthReport, HealthStatus};
+use crate::reactor::{AsyncConfig, AsyncServer};
 use crate::service::{ServiceConfig, VerificationService};
-use crate::tcp::{Client, PpufServer};
+use crate::tcp::Client;
 use crate::wire::{ErrorKind, Request, Response, StatsFormat};
 
 /// Parameters of one load-generation run.
@@ -52,10 +56,8 @@ pub struct LoadgenConfig {
     pub grid: usize,
     /// Seed for device generation and server challenge sampling.
     pub seed: u64,
-    /// Server verifier worker threads.
+    /// Server dispatch threads — the answers verified in parallel.
     pub workers: usize,
-    /// Server verification queue capacity.
-    pub queue_capacity: usize,
     /// Server rotating challenge pool (> 0 so repeated answers can hit
     /// the verification cache).
     pub challenge_pool: usize,
@@ -79,7 +81,6 @@ impl Default for LoadgenConfig {
             grid: 2,
             seed: 7,
             workers: 2,
-            queue_capacity: 64,
             challenge_pool: 4,
             deadline_s: 0.5,
             honest_clients: 4,
@@ -91,8 +92,8 @@ impl Default for LoadgenConfig {
 }
 
 impl LoadgenConfig {
-    /// The CI smoke profile: a small device, 2 workers, 100 requests
-    /// total across all cohorts.
+    /// The CI smoke profile: a small device, 2 dispatch threads, 100
+    /// requests total across all cohorts.
     pub fn smoke() -> Self {
         LoadgenConfig {
             label: "smoke".into(),
@@ -332,15 +333,17 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let model = ppuf.public_model().map_err(|e| format!("model publication failed: {e}"))?;
 
     let service = VerificationService::new(ServiceConfig {
-        workers: config.workers,
-        queue_capacity: config.queue_capacity,
         deadline: Some(Seconds(config.deadline_s)),
         challenge_pool: config.challenge_pool,
         seed: config.seed,
         ..ServiceConfig::default()
     });
-    let mut server = PpufServer::bind("127.0.0.1:0", Arc::new(service))
-        .map_err(|e| format!("server bind failed: {e}"))?;
+    let mut server = AsyncServer::bind(
+        "127.0.0.1:0",
+        Arc::new(service),
+        AsyncConfig { dispatch_threads: config.workers, ..AsyncConfig::default() },
+    )
+    .map_err(|e| format!("server bind failed: {e}"))?;
     let addr = server.local_addr();
 
     let mut registrar =
@@ -514,7 +517,7 @@ fn answer_round(
         if let Response::Error { kind: ErrorKind::Overloaded, retry_after_ms, .. } = &response {
             stats.overload_retries += 1;
             std::thread::sleep(Duration::from_millis(retry_after_ms.unwrap_or(50)));
-            continue; // fresh session: the shed one is spent
+            continue; // fresh session: the shed one expires unanswered
         }
         if matches!(response, Response::Verdict { .. }) && echoed == Some(trace_id) {
             stats.trace_ids.push(trace_id);
@@ -629,7 +632,6 @@ fn bogus_answer() -> ProverAnswer {
 // ---------------------------------------------------------------------------
 
 use crate::mux::{self, Driver, MuxConfig, MuxStats, Outbound, WireFlavor};
-use crate::reactor::{AsyncConfig, AsyncServer};
 use crate::wire2;
 
 /// Parameters of one multiplexed load-generation run against the async
@@ -650,10 +652,6 @@ pub struct AsyncLoadgenConfig {
     pub grid: usize,
     /// Seed for device generation and server challenge sampling.
     pub seed: u64,
-    /// Server verifier worker threads.
-    pub workers: usize,
-    /// Server verification queue capacity.
-    pub queue_capacity: usize,
     /// Server rotating challenge pool.
     pub challenge_pool: usize,
     /// Server answer deadline in seconds.
@@ -672,7 +670,7 @@ pub struct AsyncLoadgenConfig {
     pub wire: WireFlavor,
     /// Server open-connection cap.
     pub max_connections: usize,
-    /// Server dispatch-pool threads.
+    /// Server dispatch threads — the answers verified in parallel.
     pub dispatch_threads: usize,
     /// Server dispatch queue depth (overflow sheds `Overloaded`).
     pub dispatch_queue: usize,
@@ -685,8 +683,6 @@ impl Default for AsyncLoadgenConfig {
             nodes: 8,
             grid: 2,
             seed: 7,
-            workers: 2,
-            queue_capacity: 64,
             challenge_pool: 4,
             deadline_s: 2.0,
             honest_connections: 48,
@@ -766,7 +762,8 @@ pub struct AsyncLoadgenReport {
     pub accepted_connections: u64,
     /// Connections reaped for idle/read-deadline timeouts.
     pub reaped_connections: u64,
-    /// Requests shed `Overloaded` at the dispatch queue.
+    /// Requests shed `Overloaded` at the dispatch queue
+    /// (`server.pool.rejected`).
     pub shed_requests: u64,
     /// The server's telemetry counters after the run.
     pub server_counters: BTreeMap<String, u64>,
@@ -848,7 +845,7 @@ impl AsyncLoadgenReport {
             "ppuf_conn_open",
             "ppuf_conn_peak",
             "ppuf_conn_accepted_total",
-            "ppuf_conn_shed_requests_total",
+            "ppuf_pool_rejected_total",
             "ppuf_reactor_loops_total",
             "ppuf_reactor_events_total",
         ] {
@@ -1075,8 +1072,9 @@ impl Driver for CohortDriver<'_> {
         let tag = tag as usize;
         let now = Instant::now();
         let phase = std::mem::replace(&mut self.streams[tag].phase, Phase::Ready);
-        // a shed round retries fresh (the session is spent) after the
-        // server-suggested backoff — up to the same cap the sync path uses
+        // a shed round retries fresh (the shed session expires unanswered)
+        // after the server-suggested backoff — up to the same cap the
+        // sync path uses
         if let Response::Error { kind: ErrorKind::Overloaded, retry_after_ms, .. } = &response {
             let backoff = Duration::from_millis(retry_after_ms.unwrap_or(50));
             self.streams[tag].retries += 1;
@@ -1169,8 +1167,6 @@ impl Driver for CohortDriver<'_> {
 /// invariant (the engine treats those as hard errors, not counts).
 pub fn run_async_loadgen(config: &AsyncLoadgenConfig) -> Result<AsyncLoadgenReport, String> {
     let service = VerificationService::new(ServiceConfig {
-        workers: config.workers,
-        queue_capacity: config.queue_capacity,
         deadline: Some(Seconds(config.deadline_s)),
         challenge_pool: config.challenge_pool,
         seed: config.seed,
@@ -1195,13 +1191,18 @@ pub fn run_async_loadgen(config: &AsyncLoadgenConfig) -> Result<AsyncLoadgenRepo
     let transport = Arc::clone(server.stats());
     let mut snapshot = server.service().recorder().snapshot(&config.label);
     server.shutdown();
-    for key in ["server.cache.hits", "server.cache.misses", "server.requests.malformed"] {
+    for key in [
+        "server.cache.hits",
+        "server.cache.misses",
+        "server.pool.rejected",
+        "server.requests.malformed",
+    ] {
         snapshot.counters.entry(key.into()).or_insert(0);
     }
     report.peak_connections = transport.peak();
     report.accepted_connections = transport.accepted();
     report.reaped_connections = transport.reaped();
-    report.shed_requests = transport.shed_requests();
+    report.shed_requests = snapshot.counters["server.pool.rejected"];
     report.server_counters = snapshot.counters;
     report.server_warnings = snapshot.warnings;
     Ok(report)
@@ -1296,7 +1297,7 @@ pub fn run_async_loadgen_at(
         peak_connections: sample("ppuf_conn_peak"),
         accepted_connections: sample("ppuf_conn_accepted_total"),
         reaped_connections: sample("ppuf_conn_reaped_total"),
-        shed_requests: sample("ppuf_conn_shed_requests_total"),
+        shed_requests: sample("ppuf_pool_rejected_total"),
         server_counters,
         server_warnings: Vec::new(),
         prometheus_samples,

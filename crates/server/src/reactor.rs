@@ -6,20 +6,22 @@
 //! loop owns every socket: it accepts, sniffs the wire mode off each
 //! connection's first byte (wire 1.x JSON vs. wire 2.0 binary — see
 //! [`crate::wire2`]), parses pipelined requests, and hands each one to a
-//! small **dispatch pool** over a bounded channel. Dispatch threads run
-//! the blocking [`VerificationService::handle_traced`] (which itself
-//! queues flow checks on the verification [`WorkerPool`](crate::pool)) and
-//! post completions back; a [`Waker`] pulls the loop out of `epoll_wait`
-//! to encode and flush them. Throughput therefore stays bounded by the
-//! worker pool, not the I/O tier, as long as `dispatch_threads` ≥ the
-//! pool's workers.
+//! small **dispatch pool** over a bounded channel — the service's only
+//! queue. Dispatch threads run the blocking
+//! `VerificationService::handle_queued`, which verifies answers on the
+//! calling thread, and post completions back; a [`Waker`] pulls the loop
+//! out of `epoll_wait` to encode and flush them. Throughput is therefore
+//! bounded by `dispatch_threads` verifying in parallel, not by the I/O
+//! tier.
 //!
 //! Overload and abuse handling is explicit at every layer:
 //!
 //! - **connection cap** — accepts beyond [`AsyncConfig::max_connections`]
 //!   are closed immediately (counted in `ppuf_conn_rejected_total`);
 //! - **dispatch backpressure** — a full dispatch queue answers
-//!   `Overloaded` (+ retry hint) from the event loop without blocking;
+//!   `Overloaded` (+ retry hint) from the event loop without blocking,
+//!   through `VerificationService::shed`, so the shed is counted
+//!   (`server.pool.rejected`) and lands in the SLO window;
 //! - **slow-loris reaping** — a frame left half-written past
 //!   [`AsyncConfig::read_deadline`], or a connection idle past
 //!   [`AsyncConfig::idle_timeout`], is swept and closed;
@@ -64,8 +66,8 @@ pub struct AsyncConfig {
     /// A frame that stays incomplete for this long is a slow-loris: the
     /// connection is reaped.
     pub read_deadline: Duration,
-    /// Threads running the blocking service dispatch. Keep ≥ the worker
-    /// pool's `workers` so verification stays the throughput bound.
+    /// Threads running the blocking service dispatch — verification
+    /// included, so this is the number of answers checked in parallel.
     pub dispatch_threads: usize,
     /// Bounded dispatch queue; overflow answers `Overloaded` inline.
     pub dispatch_queue: usize,
@@ -93,7 +95,11 @@ impl Default for AsyncConfig {
             max_connections: 10_000,
             idle_timeout: Duration::from_secs(60),
             read_deadline: Duration::from_secs(10),
-            dispatch_threads: 4,
+            // each verifying thread keeps its own allocator arena of
+            // verifier working memory: on paper-scale (n = 900) answers,
+            // four threads made rounds ~10 % slower and held more memory
+            // than two on a 2-core host
+            dispatch_threads: 2,
             dispatch_queue: 256,
             max_write_buf: 2 * crate::wire::MAX_FRAME_LEN,
             sweep_interval: Duration::from_millis(250),
@@ -110,6 +116,9 @@ struct Job {
     corr: Corr,
     request: Request,
     trace: TraceId,
+    /// When the request entered the queue: its latency clock and
+    /// `server.request` span start here.
+    enqueued_at: Instant,
 }
 
 /// One finished request coming back from the dispatch pool.
@@ -198,22 +207,24 @@ impl AsyncServer {
         let waker = Waker::new(&poll, WAKER_TOKEN)?;
         poll.register(&listener, LISTENER_TOKEN, Interest::READABLE, Mode::Level)?;
 
-        let stats = Arc::new(TransportStats::new());
+        let threads = config.dispatch_threads.max(1);
+        let stats = Arc::new(TransportStats::new(threads));
         service.attach_transport(Arc::clone(&stats));
         let shutdown = Arc::new(AtomicBool::new(false));
         let (job_tx, job_rx) = channel::bounded::<Job>(config.dispatch_queue.max(1));
         let (done_tx, done_rx) = channel::unbounded::<Done>();
 
-        let mut dispatch_threads = Vec::with_capacity(config.dispatch_threads.max(1));
-        for i in 0..config.dispatch_threads.max(1) {
+        let mut dispatch_threads = Vec::with_capacity(threads);
+        for i in 0..threads {
             let service = Arc::clone(&service);
+            let stats = Arc::clone(&stats);
             let job_rx = job_rx.clone();
             let done_tx = done_tx.clone();
             let waker = waker.clone();
             dispatch_threads.push(
                 std::thread::Builder::new()
                     .name(format!("ppuf-dispatch-{i}"))
-                    .spawn(move || dispatch_loop(&service, &job_rx, &done_tx, &waker))?,
+                    .spawn(move || dispatch_loop(&service, &stats, &job_rx, &done_tx, &waker))?,
             );
         }
 
@@ -288,12 +299,14 @@ impl Drop for AsyncServer {
 /// A dispatch thread: runs blocking service calls off the event loop.
 fn dispatch_loop(
     service: &VerificationService,
+    stats: &TransportStats,
     job_rx: &Receiver<Job>,
     done_tx: &Sender<Done>,
     waker: &Waker,
 ) {
     while let Ok(job) = job_rx.recv() {
-        let response = service.handle_traced(job.request, job.trace);
+        stats.request_dequeued();
+        let response = service.handle_queued(job.request, job.trace, job.enqueued_at);
         let done = Done { slot: job.slot, gen: job.gen, corr: job.corr, response };
         if done_tx.send(done).is_err() {
             break; // event loop gone
@@ -476,19 +489,17 @@ impl Reactor {
             }
             Inbound::Request { corr, request, trace } => {
                 self.stats.request_parsed(conn.mode());
-                let job = Job { slot, gen: conn.gen, corr, request, trace };
+                let enqueued_at = Instant::now();
+                let job = Job { slot, gen: conn.gen, corr, request, trace, enqueued_at };
                 match self.job_tx.try_send(job) {
-                    Ok(()) => conn.in_flight += 1,
+                    Ok(()) => {
+                        conn.in_flight += 1;
+                        self.stats.request_queued();
+                    }
                     Err(TrySendError::Full(job)) => {
-                        // dispatch tier saturated: shed from the event
-                        // loop with the same shape the service's own
-                        // queue-full path uses
-                        self.stats.request_shed();
-                        let response = Response::Error {
-                            kind: ErrorKind::Overloaded,
-                            message: "dispatch queue full".into(),
-                            retry_after_ms: Some(self.service.config().retry_after_ms),
-                        };
+                        // dispatch tier saturated: the service answers
+                        // the shed without running it
+                        let response = self.service.shed(&job.request, job.trace);
                         conn.complete(job.corr, &response);
                     }
                     Err(TrySendError::Disconnected(_)) => {} // shutting down

@@ -21,8 +21,8 @@ pub struct DeviceEntry {
     pub device_id: String,
     /// The published model, exactly as registered.
     pub model: PublicModel,
-    /// Verifier over the model. Configured *without* a deadline: workers
-    /// produce timeless verdicts (so they can be cached) and the service
+    /// Verifier over the model. Configured *without* a deadline: it
+    /// produces timeless verdicts (so they can be cached) and the service
     /// applies the deadline to the measured session time itself.
     pub verifier: Verifier,
     /// Challenge minting and replay/expiry policing for this device.

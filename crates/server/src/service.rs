@@ -1,47 +1,42 @@
 //! The verification service: request dispatch over registry, issuer,
-//! worker pool, and cache.
+//! verifier, and cache.
 //!
 //! Transport-agnostic — [`VerificationService::handle`] maps one
-//! [`Request`] to one [`Response`] and is called by the TCP front-end
-//! ([`crate::tcp`]) and directly by tests. The deadline check lives
-//! *here*, not in the workers: workers produce timeless verdicts (so the
-//! cache can reuse them across sessions) and the service compares each
-//! session's measured elapsed time against the configured deadline.
+//! [`Request`] to one [`Response`] on the calling thread and is called
+//! directly by tests; the async front-end ([`crate::reactor`]) calls
+//! `handle_queued` from its dispatch threads, so its dispatch queue is
+//! the service's only queue, and `shed` when that queue is full. The
+//! verifier produces timeless verdicts (so the cache can reuse them
+//! across sessions) and the deadline check lives *here*: the service
+//! compares each session's measured elapsed time against the configured
+//! deadline.
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crossbeam::channel::bounded;
-
 use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions};
 use ppuf_analog::units::{Amps, Celsius, Seconds, Volts};
 use ppuf_analog::TwoTerminal;
-use ppuf_core::challenge::ChallengeSpace;
-use ppuf_core::protocol::auth::{Verifier, VERIFY_TOLERANCE};
+use ppuf_core::challenge::{Challenge, ChallengeSpace};
+use ppuf_core::protocol::auth::{ProverAnswer, VerificationReport, Verifier, VERIFY_TOLERANCE};
 use ppuf_core::protocol::clock::{Clock, SystemClock};
 use ppuf_core::protocol::issuer::{ChallengeIssuer, RedeemError, DEFAULT_SESSION_TTL};
 use ppuf_core::public_model::PublicModel;
 use ppuf_telemetry::{
-    next_trace_id, prometheus, FlightRecorder, MemoryRecorder, Profiler, Recorder, Report,
-    SpanContext, TraceId, TracedSpan, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES,
+    next_trace_id, prometheus, record_interval, FlightRecorder, MemoryRecorder, Profiler, Recorder,
+    Report, SpanContext, TraceId, TracedSpan, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES,
 };
 
-use crate::cache::VerificationCache;
+use crate::cache::{answer_fingerprint, challenge_fingerprint, VerificationCache};
 use crate::health::{HealthTracker, RequestOutcome, SloConfig};
-use crate::pool::{SubmitError, VerifyJob, WorkerPool};
 use crate::registry::{DeviceEntry, DeviceRegistry};
 use crate::wire::{ErrorKind, ProfileFormat, Request, Response, StatsFormat};
 
 /// Tunables for one [`VerificationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Verifier worker threads.
-    pub workers: usize,
-    /// Bounded verification queue length; a full queue sheds load with
-    /// `Overloaded` responses.
-    pub queue_capacity: usize,
     /// Threads each verifier uses for its residual-BFS passes.
     pub verify_threads: usize,
     /// Answer deadline (the ESG enforcement knob); `None` disables the
@@ -75,8 +70,8 @@ pub struct ServiceConfig {
     /// Flow-rejections plus internal errors in the SLO window at which
     /// the failure-burst trigger fires a flight-recorder dump.
     pub failure_burst_threshold: u64,
-    /// Overloaded responses in the SLO window at which the
-    /// pool-saturation trigger fires a flight-recorder dump.
+    /// Overloaded responses (transport sheds) in the SLO window at which
+    /// the pool-saturation trigger fires a flight-recorder dump.
     pub saturation_threshold: u64,
     /// Newest post-mortem dumps kept on disk per dump directory; older
     /// files are rotated out after each write. 0 disables rotation.
@@ -86,8 +81,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 2,
-            queue_capacity: 64,
             verify_threads: 1,
             deadline: None,
             session_ttl: DEFAULT_SESSION_TTL,
@@ -117,8 +110,7 @@ pub const DEFAULT_FLIGHTREC_KEEP: usize = 16;
 pub struct VerificationService {
     config: ServiceConfig,
     registry: DeviceRegistry,
-    cache: Arc<VerificationCache>,
-    pool: WorkerPool,
+    cache: VerificationCache,
     recorder: Arc<MemoryRecorder>,
     /// The always-on call-path profiler; fed by the recorder's finished
     /// traces and by the analog/maxflow/reactor phase instrumentation.
@@ -131,12 +123,13 @@ pub struct VerificationService {
     /// most one dump per SLO window.
     dump_last: Mutex<std::collections::BTreeMap<&'static str, f64>>,
     /// Transport-tier counters (set by the async front-end); their
-    /// `ppuf_conn_*` gauges join the Prometheus exposition.
+    /// `ppuf_conn_*` and dispatch-queue `ppuf_pool_*` gauges join the
+    /// Prometheus exposition.
     transport: Mutex<Option<Arc<crate::conn::TransportStats>>>,
 }
 
 impl VerificationService {
-    /// Builds a service (spawning its worker threads) on the system clock.
+    /// Builds a service on the system clock.
     pub fn new(config: ServiceConfig) -> Self {
         Self::with_clock(config, Arc::new(SystemClock::new()))
     }
@@ -145,18 +138,12 @@ impl VerificationService {
     /// a [`ManualClock`](ppuf_core::protocol::clock::ManualClock) to
     /// exercise deadlines and expiry without sleeping.
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
-        let cache = Arc::new(VerificationCache::new(config.cache_shards, config.cache_capacity));
+        let cache = VerificationCache::new(config.cache_shards, config.cache_capacity);
         let profiler = Arc::new(Profiler::new());
         let mut recorder = MemoryRecorder::new();
         recorder.set_profiler(Arc::clone(&profiler));
         let recorder = Arc::new(recorder);
         warm_start_preflight(recorder.as_ref());
-        let pool = WorkerPool::new(
-            config.workers,
-            config.queue_capacity,
-            Arc::clone(&cache),
-            Arc::clone(&recorder),
-        );
         let health = HealthTracker::new(config.slo.clone());
         let flight = if config.flightrec_traces == 0 {
             FlightRecorder::disabled()
@@ -167,7 +154,6 @@ impl VerificationService {
             config,
             registry: DeviceRegistry::new(),
             cache,
-            pool,
             recorder,
             profiler,
             clock,
@@ -219,25 +205,57 @@ impl VerificationService {
         &self.config
     }
 
-    /// Dispatches one request under a fresh trace id.
+    /// Dispatches one request in-process, under a fresh trace id.
     pub fn handle(&self, request: Request) -> Response {
-        self.handle_traced(request, next_trace_id())
+        self.dispatch(request, next_trace_id(), None)
     }
 
-    /// Dispatches one request, recording a `server.request` root span in
-    /// trace `trace`. The TCP front-end passes the id it assigned (or
-    /// adopted from the client) at accept time; every span the request
-    /// produces — including worker-side `server.queue_wait` /
-    /// `server.verify` spans from [`crate::pool`] — lands under it.
-    pub fn handle_traced(&self, request: Request, trace: TraceId) -> Response {
+    /// Dispatches one request a transport queued at `enqueued_at`. Its
+    /// `server.request` root span in trace `trace` (the id the transport
+    /// assigned, or adopted from the client) and its SLO latency both
+    /// start at enqueue, and the wait is the root's `server.queue_wait`
+    /// child.
+    pub(crate) fn handle_queued(
+        &self,
+        request: Request,
+        trace: TraceId,
+        enqueued_at: Instant,
+    ) -> Response {
+        self.dispatch(request, trace, Some(enqueued_at))
+    }
+
+    /// Answers a request the transport's full queue turned away, without
+    /// running it: `Overloaded` with the configured retry hint, counted
+    /// once in `server.pool.rejected` and recorded as an overload in the
+    /// SLO window. A shed `SubmitAnswer` leaves its nonce unredeemed.
+    /// The async front-end calls this on its event loop, which therefore
+    /// writes the pool-saturation dump when a shed fires that trigger (at
+    /// most once per SLO window, and only with a dump directory set).
+    pub(crate) fn shed(&self, request: &Request, trace: TraceId) -> Response {
+        self.recorder.counter_add("server.requests", 1);
+        self.recorder.counter_add("server.pool.rejected", 1);
+        let response = Response::Error {
+            kind: ErrorKind::Overloaded,
+            message: "dispatch queue full".into(),
+            retry_after_ms: Some(self.config.retry_after_ms),
+        };
+        self.observe(request_kind(request), trace, 0.0, &response);
+        response
+    }
+
+    fn dispatch(&self, request: Request, trace: TraceId, enqueued_at: Option<Instant>) -> Response {
         self.recorder.counter_add("server.requests", 1);
         let kind = request_kind(&request);
-        let started = Instant::now();
+        let started = enqueued_at.unwrap_or_else(Instant::now);
         // scoped so the root span closes (and its FinishedSpan lands in
         // the recorder) before the flight recorder harvests the trace
         let response = {
-            let mut root = TracedSpan::root(self.recorder.as_ref(), "server.request", trace);
+            let recorder = self.recorder.as_ref();
+            let mut root = TracedSpan::root_at(recorder, "server.request", trace, started);
             root.attr("kind", kind);
+            if let Some(at) = enqueued_at {
+                record_interval(recorder, root.context(), "server.queue_wait", at, Instant::now());
+            }
             match request {
                 Request::Register { device_id, model } => self.register(device_id, model),
                 Request::Revoke { device_id } => self.revoke(&device_id),
@@ -402,8 +420,9 @@ impl VerificationService {
     /// Renders the recorder's live state — counters, span summaries,
     /// events, traces — as a [`Response::Stats`] body: the schema-v2 JSON
     /// report, or Prometheus text exposition with live
-    /// `ppuf_pool_queue_depth` / `ppuf_pool_workers` /
-    /// `ppuf_cache_entries` / `ppuf_slo_*` gauges.
+    /// `ppuf_cache_entries` / `ppuf_slo_*` gauges, plus the attached
+    /// transport's (including the dispatch queue's
+    /// `ppuf_pool_queue_depth` / `ppuf_pool_workers`).
     fn stats(&self, format: StatsFormat) -> Response {
         let report = self.recorder.snapshot("ppuf-server live stats");
         let body = match format {
@@ -411,8 +430,6 @@ impl VerificationService {
             StatsFormat::Prometheus => {
                 let health = self.health.assess(self.clock.now().value());
                 let mut gauges = vec![
-                    ("ppuf_pool_queue_depth".to_string(), self.pool.queue_depth() as f64),
-                    ("ppuf_pool_workers".to_string(), self.pool.workers() as f64),
                     ("ppuf_cache_entries".to_string(), self.cache.len() as f64),
                     ("ppuf_slo_health".to_string(), health.status.as_gauge()),
                     ("ppuf_slo_window_requests".to_string(), health.requests as f64),
@@ -482,7 +499,7 @@ impl VerificationService {
         &self,
         device_id: &str,
         nonce: u64,
-        answer: ppuf_core::protocol::auth::ProverAnswer,
+        answer: ProverAnswer,
         trace: Option<SpanContext>,
     ) -> Response {
         let Some(entry) = self.registry.get(device_id) else {
@@ -499,36 +516,16 @@ impl VerificationService {
                 return Response::error(ErrorKind::SessionExpired, e.to_string());
             }
         };
-        let (reply_tx, reply_rx) = bounded(1);
         // verify against the challenge bound to the nonce at issue time —
         // the client never gets to choose it
-        let job = VerifyJob::new(Arc::clone(&entry), session.challenge, answer, reply_tx, trace);
-        match self.pool.submit(job) {
-            Ok(()) => {}
-            Err(SubmitError::QueueFull) => {
-                self.recorder.counter_add("server.pool.rejected", 1);
-                return Response::Error {
-                    kind: ErrorKind::Overloaded,
-                    message: format!("verification queue full ({} jobs)", self.pool.capacity()),
-                    retry_after_ms: Some(self.config.retry_after_ms),
-                };
-            }
-            Err(SubmitError::Closed) => {
-                return Response::error(ErrorKind::Internal, "verifier pool is shut down");
-            }
-        }
-        let outcome = match reply_rx.recv() {
-            Ok(Ok(outcome)) => outcome,
-            Ok(Err(message)) => return Response::error(ErrorKind::Internal, message),
-            Err(_) => {
-                return Response::error(ErrorKind::Internal, "verifier worker dropped the job");
-            }
+        let (mut report, cached) = match self.verify(&entry, &session.challenge, &answer, trace) {
+            Ok(verified) => verified,
+            Err(message) => return Response::error(ErrorKind::Internal, message),
         };
         let within_deadline = match self.config.deadline {
             Some(deadline) => session.elapsed.value() <= deadline.value(),
             None => true,
         };
-        let mut report = outcome.report;
         report.within_deadline = within_deadline;
         let accepted = report.accepted();
         self.recorder.counter_add(
@@ -543,8 +540,48 @@ impl VerificationService {
             nonce,
             accepted,
             report,
-            cached: outcome.cached,
+            cached,
             elapsed_s: session.elapsed.value(),
+        }
+    }
+
+    /// Checks `answer` on the calling thread, serving the flow checks
+    /// from the cache when this (device, challenge, answer) triple was
+    /// verified before — a hit skips both residual-BFS passes. Returns a
+    /// timeless report (its `within_deadline` is always `true`; the
+    /// caller applies the deadline) and whether it came from the cache.
+    fn verify(
+        &self,
+        entry: &DeviceEntry,
+        challenge: &Challenge,
+        answer: &ProverAnswer,
+        trace: Option<SpanContext>,
+    ) -> Result<(VerificationReport, bool), String> {
+        let recorder = self.recorder.as_ref();
+        let mut span = TracedSpan::child_of(recorder, "server.verify", trace);
+        let (cached, challenge_fp, answer_fp) = {
+            let _probe = span.child("server.cache_probe");
+            let challenge_fp = challenge_fingerprint(challenge);
+            let answer_fp = answer_fingerprint(answer);
+            (self.cache.get(&entry.device_id, challenge_fp, answer_fp), challenge_fp, answer_fp)
+        };
+        if let Some(report) = cached {
+            recorder.counter_add("server.cache.hits", 1);
+            span.attr("cached", true);
+            return Ok((report, true));
+        }
+        recorder.counter_add("server.cache.misses", 1);
+        span.attr("cached", false);
+        match entry.verifier.verify(challenge, answer) {
+            Ok(report) => {
+                let evicted = self.cache.insert(&entry.device_id, challenge_fp, answer_fp, report);
+                recorder.counter_add("server.cache.evictions", evicted as u64);
+                Ok((report, false))
+            }
+            Err(e) => {
+                recorder.warn(&format!("verification failed for {}: {e}", entry.device_id));
+                Err(e.to_string())
+            }
         }
     }
 
@@ -781,28 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_submit_builds_one_rooted_request_tree() {
-        let clock = Arc::new(ManualClock::new());
-        let (service, ppuf) = service_with_device(ServiceConfig::default(), Arc::clone(&clock));
-        let (nonce, challenge) = get_challenge(&service);
-        let answer = prove(&ppuf.executor(Environment::NOMINAL), &challenge).unwrap();
-        let trace = ppuf_telemetry::next_trace_id();
-        let response = service
-            .handle_traced(Request::SubmitAnswer { device_id: "dev".into(), nonce, answer }, trace);
-        assert!(matches!(response, Response::Verdict { accepted: true, .. }), "{response:?}");
-        let tree = service
-            .recorder()
-            .assemble_trace(trace)
-            .expect("trace recorded")
-            .expect("well-formed trace");
-        assert_eq!(tree.span.name, "server.request");
-        for name in ["server.queue_wait", "server.cache_probe", "server.verify"] {
-            assert!(tree.contains(name), "missing {name} in request trace");
-        }
-        assert!(tree.durations_contained());
-    }
-
-    #[test]
     fn stats_prometheus_exposes_live_metrics() {
         let clock = Arc::new(ManualClock::new());
         let (service, _ppuf) = service_with_device(ServiceConfig::default(), Arc::clone(&clock));
@@ -816,8 +831,7 @@ mod tests {
             "ppuf_cache_hits_total",
             "ppuf_cache_misses_total",
             "ppuf_dc_warm_start_hits_total",
-            "ppuf_pool_queue_depth",
-            "ppuf_pool_workers",
+            "ppuf_pool_rejected_total",
             "ppuf_cache_entries",
             "ppuf_slo_health",
             "ppuf_slo_window_requests",
@@ -829,7 +843,6 @@ mod tests {
         }
         // the construction-time preflight already warmed the engine twice
         assert!(samples["ppuf_dc_warm_start_hits_total"] >= 2.0);
-        assert_eq!(samples["ppuf_pool_workers"], 2.0);
     }
 
     #[test]

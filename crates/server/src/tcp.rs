@@ -1,187 +1,14 @@
-//! TCP front-end: the service behind `std::net`, plus a matching client.
-//!
-//! One accept thread (blocked on an epoll readiness poll, woken
-//! instantly at shutdown through a [`Waker`] — no sleep polling), one
-//! thread per connection. Connection threads poll with a
-//! read timeout and re-check the shutdown flag between frames. A frame
-//! that is not valid JSON — or not a valid [`Request`] — is answered
-//! with a structured `Malformed` error on the same connection; only I/O
-//! failures and frame-layer corruption (truncation, oversized length)
-//! end the connection.
+//! Blocking wire-1.x client over `std::net`: one request, one response,
+//! on a connection to an [`AsyncServer`](crate::reactor::AsyncServer)
+//! speaking length-prefixed JSON. Used by the load generator, the
+//! example, admin scrapes, and tests.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::net::{TcpStream, ToSocketAddrs};
 
-use mio::{Events, Interest, Mode, Poll, Token, Waker};
-use ppuf_telemetry::{next_trace_id, Recorder, TraceId};
+use crate::wire::{recv_message, send_message, Request, Response, TracedRequest, TracedResponse};
 
-use crate::service::VerificationService;
-use crate::wire::{
-    recv_message, send_message, ErrorKind, Request, Response, TracedRequest, TracedResponse,
-};
-
-const READ_POLL: Duration = Duration::from_millis(100);
-
-const LISTENER_TOKEN: Token = Token(0);
-const SHUTDOWN_TOKEN: Token = Token(1);
-
-/// A listening PPUF verification server.
-///
-/// Dropping the server (or calling [`shutdown`](Self::shutdown)) stops
-/// the accept loop; connection threads notice the flag at their next
-/// read-timeout tick and exit.
-#[derive(Debug)]
-pub struct PpufServer {
-    service: Arc<VerificationService>,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    waker: Waker,
-    accept_thread: Option<JoinHandle<()>>,
-}
-
-impl PpufServer {
-    /// Binds `addr` (use port 0 for an OS-assigned port) and starts
-    /// accepting connections against `service`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind/configuration failures.
-    pub fn bind<A: ToSocketAddrs>(addr: A, service: Arc<VerificationService>) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let poll = Poll::new()?;
-        poll.register(&listener, LISTENER_TOKEN, Interest::READABLE, Mode::Level)?;
-        let waker = Waker::new(&poll, SHUTDOWN_TOKEN)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
-            let service = Arc::clone(&service);
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("ppuf-accept".into())
-                .spawn(move || accept_loop(&listener, &poll, &service, &shutdown))?
-        };
-        Ok(PpufServer { service, local_addr, shutdown, waker, accept_thread: Some(accept_thread) })
-    }
-
-    /// The bound address (with the real port when bound to port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// The service this server fronts.
-    pub fn service(&self) -> &Arc<VerificationService> {
-        &self.service
-    }
-
-    /// Stops accepting and signals connection threads to wind down. The
-    /// accept thread is woken out of its readiness poll immediately — no
-    /// polling latency.
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for PpufServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    poll: &Poll,
-    service: &Arc<VerificationService>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut events = Events::with_capacity(8);
-    while !shutdown.load(Ordering::SeqCst) {
-        // block until a connection is pending or the shutdown waker fires
-        // — zero CPU while idle, zero latency on either edge
-        if poll.poll(&mut events, None).is_err() {
-            break;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let conn_service = Arc::clone(service);
-                    let conn_shutdown = Arc::clone(shutdown);
-                    let spawned = std::thread::Builder::new()
-                        .name(format!("ppuf-conn-{peer}"))
-                        .spawn(move || handle_connection(stream, &conn_service, &conn_shutdown));
-                    if let Err(e) = spawned {
-                        service.recorder().warn(&format!("failed to spawn connection thread: {e}"));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    service.recorder().warn(&format!("accept failed: {e}"));
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn handle_connection(
-    mut stream: TcpStream,
-    service: &Arc<VerificationService>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    service.recorder().counter_add("server.connections", 1);
-    while !shutdown.load(Ordering::SeqCst) {
-        let envelope: TracedRequest = match recv_message(&mut stream) {
-            Ok(Some(envelope)) => envelope,
-            Ok(None) => break, // clean EOF
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // poll tick: re-check the shutdown flag
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // parseable frame layer, garbage payload: answer, keep going
-                service.recorder().counter_add("server.requests.malformed", 1);
-                let response = Response::error(ErrorKind::Malformed, e.to_string());
-                if send_message(&mut stream, &response).is_err() {
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break, // torn connection
-        };
-        // adopt the client's trace id when it sent one, mint one otherwise
-        // — every request runs under *some* trace id from accept onward
-        let client_traced = envelope.trace_id.is_some();
-        let trace = envelope.trace_id.and_then(TraceId::from_raw).unwrap_or_else(next_trace_id);
-        let response = service.handle_traced(envelope.body, trace);
-        // only envelope speakers get the envelope back: bare (wire 1.0)
-        // clients keep receiving byte-identical bare responses
-        let sent = if client_traced {
-            send_message(&mut stream, &TracedResponse::traced(trace.get(), response))
-        } else {
-            send_message(&mut stream, &response)
-        };
-        if sent.is_err() {
-            break;
-        }
-    }
-}
-
-/// Blocking client for the wire protocol; used by the load generator,
-/// the example, and tests.
+/// Blocking client for the wire protocol.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,

@@ -202,11 +202,11 @@ pub enum ErrorKind {
     ReplayOrUnknownNonce,
     /// The session outlived its time-to-live before the answer arrived.
     SessionExpired,
-    /// The verification queue is full; retry after the hinted delay.
+    /// The dispatch queue is full; retry after the hinted delay.
     Overloaded,
     /// The frame was not a well-formed request.
     Malformed,
-    /// The server failed internally (worker died, check errored).
+    /// The server failed internally (the verification check errored).
     Internal,
 }
 

@@ -1,6 +1,7 @@
 //! Live tests of the async serving tier: wire-1.x byte compatibility,
-//! pipelined correlation, negotiation, slow-loris reaping, connection
-//! caps, and the end-to-end multiplexed smoke on both wires.
+//! pipelined correlation, negotiation, dispatch-queue shedding and
+//! tracing, slow-loris reaping, connection caps, and the end-to-end
+//! multiplexed smoke on both wires.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -8,12 +9,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ppuf_analog::units::Seconds;
+use ppuf_analog::variation::Environment;
 use ppuf_core::device::{Ppuf, PpufConfig};
+use ppuf_core::protocol::auth::prove;
 use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig};
 use ppuf_server::mux::WireFlavor;
 use ppuf_server::service::{ServiceConfig, VerificationService};
-use ppuf_server::tcp::{Client, PpufServer};
-use ppuf_server::wire::{Request, Response};
+use ppuf_server::tcp::Client;
+use ppuf_server::wire::{ErrorKind, Request, Response, StatsFormat};
 use ppuf_server::wire2::{self, opcode};
 use ppuf_server::{AsyncConfig, AsyncServer};
 
@@ -21,8 +24,6 @@ const SEED: u64 = 23;
 
 fn service(seed: u64) -> Arc<VerificationService> {
     Arc::new(VerificationService::new(ServiceConfig {
-        workers: 2,
-        queue_capacity: 16,
         deadline: Some(Seconds(5.0)),
         challenge_pool: 2,
         seed,
@@ -75,16 +76,31 @@ fn raw_frame_of(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// The wire-1.x lock: a blocking client must receive byte-identical
-/// response frames from the legacy thread-per-connection server and the
-/// async reactor, across bare requests, malformed payloads, and the
-/// trace envelope.
+/// The response frames the thread-per-connection server that preceded
+/// the reactor sent for the six exchanges in
+/// [`wire_1x_responses_are_byte_identical_to_the_legacy_server`]: a 4-byte
+/// big-endian length, then the JSON payload.
+const LEGACY_1X_FRAMES: [&[u8]; 6] = [
+    b"\x00\x00\x00\x06\"Pong\"",
+    b"\x00\x00\x00\x70{\"Error\":{\"kind\":\"UnknownDevice\",\
+      \"message\":\"device \\\"no-such-device\\\" is not registered\",\
+      \"retry_after_ms\":null}}",
+    b"\x00\x00\x00\x64{\"Error\":{\"kind\":\"Malformed\",\
+      \"message\":\"json error: expected '\\\"' at byte 1\",\"retry_after_ms\":null}}",
+    b"\x00\x00\x00\xa2{\"Error\":{\"kind\":\"Malformed\",\"message\":\"json error: serde error: \
+      Request: unrecognized variant Map([(\\\"Bogus\\\", Map([(\\\"x\\\", Int(1))]))])\",\
+      \"retry_after_ms\":null}}",
+    b"\x00\x00\x00\x1c{\"trace_id\":7,\"body\":\"Pong\"}",
+    b"\x00\x00\x00\x06\"Pong\"",
+];
+
+/// The wire-1.x lock: a blocking client must receive, byte for byte, the
+/// response frames the legacy server sent, across bare requests,
+/// malformed payloads, and the trace envelope.
 #[test]
 fn wire_1x_responses_are_byte_identical_to_the_legacy_server() {
-    let mut legacy = PpufServer::bind("127.0.0.1:0", service(SEED)).expect("legacy bind");
     let reactor = bind_async(AsyncConfig::default());
-
-    let exchanges: Vec<Vec<u8>> = vec![
+    let exchanges = [
         json_frame_of(&Request::Ping),
         json_frame_of(&Request::GetChallenge { device_id: "no-such-device".into() }),
         raw_frame_of(b"\x7bnot json at all"),
@@ -93,24 +109,96 @@ fn wire_1x_responses_are_byte_identical_to_the_legacy_server() {
         raw_frame_of(br#"{"trace_id": 7, "body": "Ping"}"#),
         json_frame_of(&Request::Ping),
     ];
-
-    let against = |addr: SocketAddr| -> Vec<Vec<u8>> {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        exchanges.iter().map(|frame| raw_json_exchange(&mut stream, frame)).collect()
-    };
-    let from_legacy = against(legacy.local_addr());
-    let from_reactor = against(reactor.local_addr());
-    for (i, (a, b)) in from_legacy.iter().zip(&from_reactor).enumerate() {
-        assert_eq!(
-            a,
-            b,
-            "exchange {i}: legacy {:?} vs reactor {:?}",
-            String::from_utf8_lossy(a),
-            String::from_utf8_lossy(b)
-        );
+    let mut stream = TcpStream::connect(reactor.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    for (i, (frame, legacy)) in exchanges.iter().zip(LEGACY_1X_FRAMES).enumerate() {
+        let got = raw_json_exchange(&mut stream, frame);
+        assert_eq!(got, legacy, "exchange {i}: reactor sent {:?}", String::from_utf8_lossy(&got));
     }
-    legacy.shutdown();
+}
+
+/// A full dispatch queue sheds through the service: every `Overloaded`
+/// the client sees is counted once in `server.pool.rejected` and lands in
+/// the SLO window's overload ratio.
+#[test]
+fn dispatch_queue_sheds_are_counted_and_reach_health() {
+    const BURST: u64 = 256;
+    let server = bind_async(AsyncConfig {
+        dispatch_threads: 1,
+        dispatch_queue: 1,
+        ..AsyncConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let burst: Vec<u8> =
+        (0..BURST).flat_map(|corr| wire2::encode_request(corr, &Request::Ping)).collect();
+    stream.write_all(&burst).expect("write burst");
+    let mut overloaded = 0;
+    for _ in 0..BURST {
+        let frame = wire2::read_frame2(&mut stream).expect("read").expect("frame");
+        match wire2::decode_response(&frame).expect("decode") {
+            Response::Pong => {}
+            Response::Error { kind: ErrorKind::Overloaded, .. } => overloaded += 1,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert!(overloaded > 0, "a {BURST}-request burst never filled a one-slot queue");
+    assert_eq!(server.service().recorder().counter("server.pool.rejected"), overloaded);
+
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let Response::Health { report } = client.request(&Request::Health).expect("health") else {
+        panic!("expected a health report");
+    };
+    let slo = report.slo("overload_ratio").expect("overload objective");
+    assert!(slo.value > 0.0, "{report:?}");
+}
+
+/// A verdict's span tree runs from the dispatch queue through the
+/// verifier: the `server.request` root opens at enqueue, so the
+/// `server.queue_wait` wait and the `server.verify` → `server.cache_probe`
+/// chain all nest inside it.
+#[test]
+fn queued_request_tree_nests_queue_wait_and_verify() {
+    let server = bind_async(AsyncConfig::default());
+    let ppuf = register_device(server.local_addr());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let Response::Challenge { nonce, challenge, .. } =
+        client.request(&Request::GetChallenge { device_id: "dev".into() }).expect("challenge")
+    else {
+        panic!("expected a challenge");
+    };
+    let answer = prove(&ppuf.executor(Environment::NOMINAL), &challenge).expect("prove");
+    let trace = ppuf_telemetry::next_trace_id();
+    let (response, echoed) = client
+        .request_traced(
+            Request::SubmitAnswer { device_id: "dev".into(), nonce, answer },
+            trace.get(),
+        )
+        .expect("submit");
+    assert!(matches!(response, Response::Verdict { accepted: true, .. }), "{response:?}");
+    assert_eq!(echoed, Some(trace.get()));
+    let recorder = server.service().recorder();
+    let tree = recorder.assemble_trace(trace).expect("trace recorded").expect("well-formed trace");
+    assert_eq!(tree.span.name, "server.request");
+    for name in ["server.queue_wait", "server.cache_probe", "server.verify"] {
+        assert!(tree.contains(name), "missing {name} in request trace");
+    }
+    assert!(tree.durations_contained());
+}
+
+/// The `ppuf_pool_*` gauges describe the dispatch pool, the one queue.
+#[test]
+fn pool_gauges_describe_the_dispatch_queue() {
+    let server = bind_async(AsyncConfig { dispatch_threads: 3, ..AsyncConfig::default() });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let Response::Stats { body, .. } =
+        client.request(&Request::Stats { format: StatsFormat::Prometheus }).expect("stats")
+    else {
+        panic!("expected stats");
+    };
+    let samples = ppuf_telemetry::prometheus::validate(&body).expect("valid exposition");
+    assert_eq!(samples["ppuf_pool_workers"], 3.0);
+    assert_eq!(samples["ppuf_pool_queue_depth"], 0.0, "the scrape itself has left the queue");
 }
 
 /// Pipelined binary requests complete out of order but every response

@@ -1,11 +1,12 @@
 //! End-to-end smoke test: the CI load-generation profile over real TCP.
 //!
 //! Runs the same profile `ppuf_loadgen --smoke` uses — a small device,
-//! 2 verifier workers, 100 requests across honest, impostor, and garbage
-//! cohorts — and asserts the service-level guarantees: honest traffic
-//! accepted, simulating attackers rejected on the deadline, malformed
-//! payloads answered with structured errors, repeated answers served
-//! from the verification cache, and nothing panicking anywhere.
+//! an `AsyncServer` with 2 dispatch threads, 100 requests across honest,
+//! impostor, and garbage cohorts — and asserts the service-level
+//! guarantees: honest traffic accepted, simulating attackers rejected on
+//! the deadline, malformed payloads answered with structured errors,
+//! repeated answers served from the verification cache, and nothing
+//! panicking anywhere.
 
 use ppuf_server::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 

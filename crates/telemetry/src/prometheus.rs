@@ -35,6 +35,7 @@ const ALIASES: &[(&str, &str)] = &[
     ("server.cache.hits", "ppuf_cache_hits_total"),
     ("server.cache.misses", "ppuf_cache_misses_total"),
     ("server.cache.evictions", "ppuf_cache_evictions_total"),
+    ("server.pool.rejected", "ppuf_pool_rejected_total"),
     ("analog.dc.warm_start_hits", "ppuf_dc_warm_start_hits_total"),
     ("analog.dc.warm_start_misses", "ppuf_dc_warm_start_misses_total"),
 ];
@@ -46,6 +47,7 @@ const WELL_KNOWN: &[&str] = &[
     "ppuf_cache_hits_total",
     "ppuf_cache_misses_total",
     "ppuf_cache_evictions_total",
+    "ppuf_pool_rejected_total",
     "ppuf_dc_warm_start_hits_total",
     "ppuf_dc_warm_start_misses_total",
 ];
@@ -417,6 +419,7 @@ mod tests {
         // untouched well-known counters still show up as zeros
         assert!(text.contains("ppuf_cache_misses_total 0\n"));
         assert!(text.contains("ppuf_cache_evictions_total 0\n"));
+        assert!(text.contains("ppuf_pool_rejected_total 0\n"));
         // unaliased counters go through the generic scheme
         assert!(text.contains("ppuf_maxflow_dinic_bfs_passes_total 7\n"));
         // spans with bucketed snapshots expose as histograms, observed

@@ -147,8 +147,20 @@ pub struct TracedSpan<'a> {
 impl<'a> TracedSpan<'a> {
     /// Opens the root span of trace `trace`.
     pub fn root(recorder: &'a dyn Recorder, name: &'a str, trace: TraceId) -> Self {
+        Self::root_at(recorder, name, trace, Instant::now())
+    }
+
+    /// Opens the root span of trace `trace` as if it had started at
+    /// `start` — for work whose clock started before the thread running
+    /// it picked it up (e.g. a request timed from when it was queued).
+    pub fn root_at(
+        recorder: &'a dyn Recorder,
+        name: &'a str,
+        trace: TraceId,
+        start: Instant,
+    ) -> Self {
         let ctx = recorder.trace_enabled().then(|| SpanContext { trace, span: SpanId(fresh_id()) });
-        TracedSpan { recorder, name, ctx, parent: None, start: Instant::now(), attrs: Vec::new() }
+        TracedSpan { recorder, name, ctx, parent: None, start, attrs: Vec::new() }
     }
 
     /// Opens a child span of `self` against the same recorder.

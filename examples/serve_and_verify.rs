@@ -22,16 +22,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ppuf.public_model()?;
     let executor = ppuf.executor(Environment::NOMINAL);
 
-    // the verifier stands up a service: 2 worker threads, a rotating
-    // challenge pool (so repeated answers can hit the verification
-    // cache), and a 0.5 s response deadline
+    // the verifier stands up a service — a rotating challenge pool (so
+    // repeated answers can hit the verification cache) and a 0.5 s
+    // response deadline — behind the epoll front-end
     let service = Arc::new(VerificationService::new(ServiceConfig {
-        workers: 2,
         challenge_pool: 4,
         deadline: Some(Seconds(0.5)),
         ..ServiceConfig::default()
     }));
-    let mut server = PpufServer::bind("127.0.0.1:0", Arc::clone(&service))?;
+    let mut server =
+        AsyncServer::bind("127.0.0.1:0", Arc::clone(&service), AsyncConfig::default())?;
     println!("server listening on {}", server.local_addr());
 
     let mut client = Client::connect(server.local_addr())?;

@@ -13,9 +13,9 @@
 //! - [`attack`] (`ppuf-attack`) — SVM/KNN model-building attacks and the
 //!   arbiter-PUF baseline;
 //! - [`server`] (`ppuf-server`) — the protocol as an online service:
-//!   device registry, nonce-bound challenge issuing, a verifier worker
-//!   pool with backpressure, a sharded verification cache, and a
-//!   JSON-over-TCP front-end with a load generator.
+//!   device registry, nonce-bound challenge issuing, a sharded
+//!   verification cache, and an epoll front-end whose bounded dispatch
+//!   queue sheds load, with a load generator.
 //!
 //! # The 60-second tour
 //!
@@ -61,5 +61,5 @@ pub mod prelude {
         ApproxMaxFlow, Dinic, EdmondsKarp, Flow, FlowNetwork, MaxFlowSolver, MinCut, NodeId,
         ParallelPushRelabel, PushRelabel, ResidualGraph,
     };
-    pub use ppuf_server::{PpufServer, ServiceConfig, VerificationService};
+    pub use ppuf_server::{AsyncConfig, AsyncServer, ServiceConfig, VerificationService};
 }
