@@ -15,12 +15,12 @@
 //! - the engine cold solve regressed more than 2× against the committed
 //!   `results/bench/engine-smoke-baseline.json`, or the profiler's
 //!   device-eval self-time share drifted out of that baseline's band;
-//! - any loadgen smoke invariant is violated — including the service
-//!   ending the run with an SLO health status other than `Ok`;
-//! - the async concurrency smoke (512 multiplexed connections against
-//!   one reactor process, binary wire) violates an invariant, or its
-//!   throughput/p99 regresses past the committed
-//!   `results/service/async-smoke-baseline.json`.
+//! - either load-generator profile run through `run_loadgen` violates a
+//!   smoke invariant — the paced smoke (10 JSON connections, every
+//!   verdict round trace-correlated) must also end the run SLO-healthy;
+//! - the concurrency smoke (512 multiplexed connections against one
+//!   reactor process, binary wire) regresses in throughput or request
+//!   p99 past the committed `results/service/async-smoke-baseline.json`.
 //!
 //! On success it appends a [`TrajectoryEntry`] (git commit/branch, the
 //! engine point, the service point) and prints the delta against the
@@ -36,7 +36,7 @@ use ppuf_bench::trajectory::{
     check_async_baseline, git_metadata, AsyncServiceSample, ServiceSample, Trajectory,
     TrajectoryEntry, TRAJECTORY_PATH,
 };
-use ppuf_server::loadgen::{run_async_loadgen, run_loadgen, AsyncLoadgenConfig, LoadgenConfig};
+use ppuf_server::loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 
 fn arg_after(flag: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -46,6 +46,42 @@ fn arg_after(flag: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// Runs one load-generator profile, writes its report under
+/// `results/service/`, and exits non-zero on any smoke invariant
+/// violation.
+fn run_service_smoke(config: &LoadgenConfig) -> LoadgenReport {
+    println!(
+        "  {} connections x pipeline {} on the {:?} wire, {} rounds",
+        config.connections(),
+        config.pipeline,
+        config.wire,
+        config.total_rounds()
+    );
+    let report = run_loadgen(config).unwrap_or_else(|e| {
+        eprintln!("loadgen failed: {e}");
+        std::process::exit(1);
+    });
+    let latency = report.request_latency.as_ref().map_or(0.0, |l| l.p99);
+    println!(
+        "  {} rounds in {:.2}s -> {:.1} rounds/s; request p99 {latency:.2} ms; \
+         peak {} conns, {} shed, health {:?}",
+        report.total_rounds,
+        report.duration_s,
+        report.throughput_rps,
+        report.peak_connections,
+        report.shed_requests,
+        report.health.status
+    );
+    let path = write_json_report(&config.label, &report.to_json(), SERVICE_DIR)
+        .expect("write service json");
+    println!("  report -> {}", path.display());
+    if let Err(violation) = report.check_smoke_invariants() {
+        eprintln!("smoke invariant violated: {violation}");
+        std::process::exit(1);
+    }
+    report
 }
 
 fn main() {
@@ -105,62 +141,13 @@ fn main() {
     }
 
     section("service smoke");
-    let config = LoadgenConfig::smoke();
-    let report = match run_loadgen(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("loadgen failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!(
-        "  {} requests in {:.2}s -> {:.1} req/s, health {:?}",
-        report.total_requests, report.duration_s, report.throughput_rps, report.health.status
-    );
-    let path = write_json_report(&config.label, &report.to_json(), SERVICE_DIR)
-        .expect("write service json");
-    println!("  report -> {}", path.display());
-    if let Err(violation) = report.check_smoke_invariants() {
-        eprintln!("smoke invariant violated: {violation}");
-        std::process::exit(1);
-    }
+    let report = run_service_smoke(&LoadgenConfig::smoke());
     println!("  smoke invariants hold (health {:?})", report.health.status);
 
-    section("async concurrency smoke");
-    let async_config = AsyncLoadgenConfig::smoke();
-    println!(
-        "  {} connections x pipeline {} on the {:?} wire, {} rounds",
-        async_config.connections(),
-        async_config.pipeline,
-        async_config.wire,
-        async_config.total_rounds()
-    );
-    let async_report = match run_async_loadgen(&async_config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("async loadgen failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    section("concurrency smoke");
+    let async_config = LoadgenConfig::concurrency_smoke();
+    let async_report = run_service_smoke(&async_config);
     let request_latency = async_report.request_latency.expect("async run recorded request latency");
-    println!(
-        "  {} rounds in {:.2}s -> {:.1} rounds/s; request p50 {:.2} ms p99 {:.2} ms; \
-         peak {} conns, {} shed",
-        async_report.total_rounds,
-        async_report.duration_s,
-        async_report.throughput_rps,
-        request_latency.p50,
-        request_latency.p99,
-        async_report.peak_connections,
-        async_report.shed_requests
-    );
-    let path = write_json_report(&async_config.label, &async_report.to_json(), SERVICE_DIR)
-        .expect("write async service json");
-    println!("  report -> {}", path.display());
-    if let Err(violation) = async_report.check_smoke_invariants() {
-        eprintln!("async smoke invariant violated: {violation}");
-        std::process::exit(1);
-    }
     let async_sample = AsyncServiceSample {
         connections: async_config.connections() as u64,
         pipeline: async_config.pipeline as u64,
@@ -181,7 +168,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    println!("  async smoke invariants hold");
+    println!("  smoke invariants hold");
 
     section("trajectory");
     let honest = report.honest.latency.expect("honest latency recorded");
@@ -196,7 +183,7 @@ fn main() {
         git_branch,
         engine,
         service: ServiceSample {
-            total_requests: report.total_requests as u64,
+            total_requests: report.total_rounds as u64,
             throughput_rps: report.throughput_rps,
             p50_ms: honest.p50,
             p95_ms: honest.p95,

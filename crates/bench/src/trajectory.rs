@@ -23,10 +23,11 @@ pub const TRAJECTORY_PATH: &str = "BENCH_trajectory.json";
 /// Current trajectory file schema.
 pub const TRAJECTORY_SCHEMA: u32 = 1;
 
-/// The service smoke operating point distilled from a loadgen report.
+/// The paced service smoke operating point distilled from a loadgen
+/// report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceSample {
-    /// Requests completed across all cohorts.
+    /// Rounds completed across all cohorts.
     pub total_requests: u64,
     /// Completed rounds per second of traffic.
     pub throughput_rps: f64,
@@ -40,8 +41,8 @@ pub struct ServiceSample {
     pub health: String,
 }
 
-/// The async (multiplexed) concurrency smoke operating point distilled
-/// from an [`ppuf_server::loadgen::AsyncLoadgenReport`]-shaped run:
+/// The concurrency smoke operating point distilled from a
+/// [`ppuf_server::loadgen::LoadgenReport`] of the 512-connection profile:
 /// hundreds of connections against one reactor process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AsyncServiceSample {

@@ -4,7 +4,9 @@
 //! Floats print via Rust's shortest-round-trip formatting (`{:?}`), so
 //! every finite `f64` survives `to_string` → `from_str` exactly —
 //! matching upstream's `float_roundtrip` feature. Non-finite floats
-//! serialize as `null`, as upstream does.
+//! serialize as `null`, as upstream does. Parsing refuses input nested
+//! deeper than [`MAX_DEPTH`] levels, upstream's recursion limit, so a
+//! hostile payload cannot exhaust the parsing thread's stack.
 //!
 //! [`serde_json`]: https://crates.io/crates/serde_json
 
@@ -62,13 +64,17 @@ pub fn from_str<'a, T: Deserialize<'a>>(text: &'a str) -> Result<T, Error> {
     T::from_value(&value).map_err(Error::from)
 }
 
+/// Deepest array/object nesting the parser accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into the generic [`Value`] model.
 ///
 /// # Errors
 ///
-/// Returns [`Error`] on malformed JSON.
+/// Returns [`Error`] on malformed JSON or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse_value(text: &str) -> Result<Value, Error> {
-    let mut parser = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     parser.skip_whitespace();
     let value = parser.value()?;
     parser.skip_whitespace();
@@ -185,6 +191,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,10 +249,25 @@ impl Parser<'_> {
                 }
             }
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.sequence(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::sequence),
+            Some(b'{') => self.nested(Self::map),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parses one array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn sequence(&mut self) -> Result<Value, Error> {
@@ -459,6 +482,18 @@ mod tests {
         for text in ["{", "[1,", "\"open", "tru", "1.2.3", "{\"a\" 1}", "[] []"] {
             assert!(parse_value(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_value(&objects).is_err());
+        // far past the cap: refused, not a stack overflow
+        assert!(parse_value(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   queue is the service's one queue, with explicit backpressure
 //!   (`Overloaded` + retry hint instead of unbounded buffering), plus a
 //!   blocking wire-1.x [`tcp::Client`];
-//! - a [`loadgen`] module driving concurrent honest, impostor, and
-//!   garbage clients over real sockets and reporting throughput and
-//!   latency percentiles.
+//! - a [`loadgen`] module driving honest, impostor, and garbage
+//!   cohorts over multiplexed real sockets ([`mux`]) and reporting
+//!   throughput and latency percentiles.
 //!
 //! Everything is instrumented through `ppuf-telemetry`; a service's
 //! recorder snapshot lands in the load-generation reports under

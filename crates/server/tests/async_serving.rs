@@ -12,7 +12,7 @@ use ppuf_analog::units::Seconds;
 use ppuf_analog::variation::Environment;
 use ppuf_core::device::{Ppuf, PpufConfig};
 use ppuf_core::protocol::auth::prove;
-use ppuf_server::loadgen::{run_async_loadgen, AsyncLoadgenConfig};
+use ppuf_server::loadgen::{run_loadgen, LoadgenConfig};
 use ppuf_server::mux::WireFlavor;
 use ppuf_server::service::{ServiceConfig, VerificationService};
 use ppuf_server::tcp::Client;
@@ -279,6 +279,38 @@ fn garbage_first_bytes_close_the_connection() {
     assert_eq!(server.stats().accepted(), 1);
 }
 
+/// A 100 000-deep JSON payload stops at the parser's nesting cap on both
+/// wires instead of overflowing the parsing thread's stack: the sender
+/// gets a structured error (or a clean close), and a fresh connection is
+/// still served.
+#[test]
+fn deeply_nested_json_is_refused_and_serving_continues() {
+    let server = bind_async(AsyncConfig::default());
+    let deep = vec![b'['; 100_000];
+    for binary in [false, true] {
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let answer = if binary {
+            let frame = wire2::encode_frame(opcode::JSON_REQUEST, 7, &deep);
+            stream.write_all(&frame).expect("write");
+            wire2::read_frame2(&mut stream)
+                .expect("read")
+                .map(|frame| wire2::decode_response(&frame).expect("decode"))
+        } else {
+            stream.write_all(&raw_frame_of(&deep)).expect("write");
+            ppuf_server::wire::recv_message::<_, Response>(&mut stream).expect("read")
+        };
+        if let Some(response) = answer {
+            assert!(
+                matches!(response, Response::Error { kind: ErrorKind::Malformed, .. }),
+                "binary={binary}: {response:?}"
+            );
+        }
+        let mut fresh = Client::connect(server.local_addr()).expect("fresh connect");
+        assert!(matches!(fresh.request(&Request::Ping).expect("ping"), Response::Pong));
+    }
+}
+
 /// A half-written frame trips the read deadline: the slow-loris is
 /// reaped and the open-connections gauge decrements.
 #[test]
@@ -431,8 +463,8 @@ fn reactor_phase_times_reach_the_service_profiler() {
     }
 }
 
-fn small_async_profile(wire: WireFlavor) -> AsyncLoadgenConfig {
-    AsyncLoadgenConfig {
+fn small_async_profile(wire: WireFlavor) -> LoadgenConfig {
+    LoadgenConfig {
         label: format!("async-it-{wire:?}"),
         honest_connections: 12,
         impostor_connections: 2,
@@ -441,7 +473,7 @@ fn small_async_profile(wire: WireFlavor) -> AsyncLoadgenConfig {
         rounds_per_stream: 1,
         deadline_s: 2.0,
         wire,
-        ..AsyncLoadgenConfig::default()
+        ..LoadgenConfig::default()
     }
 }
 
@@ -449,20 +481,24 @@ fn small_async_profile(wire: WireFlavor) -> AsyncLoadgenConfig {
 /// event-loop client, correlation ids echoed on every response.
 #[test]
 fn async_loadgen_smoke_binary_wire() {
-    let report =
-        run_async_loadgen(&small_async_profile(WireFlavor::Binary)).expect("async loadgen");
+    let report = run_loadgen(&small_async_profile(WireFlavor::Binary)).expect("async loadgen");
     report.check_smoke_invariants().expect("async smoke invariants");
     assert_eq!(report.total_rounds, 32);
     assert!(report.mux.corr_echoed > 0);
     assert_eq!(report.mux.corr_echoed, report.mux.responses);
+    assert_eq!(report.traced_requests, 0, "wire 2.0 carries no trace envelope");
 }
 
 /// The same cohorts over wire-1.x JSON: pipelining works with in-order
-/// response matching and no correlation ids.
+/// response matching and no correlation ids, and every verdict round's
+/// trace envelope comes back echoed.
 #[test]
 fn async_loadgen_smoke_json_wire() {
-    let report = run_async_loadgen(&small_async_profile(WireFlavor::Json)).expect("async loadgen");
+    let report = run_loadgen(&small_async_profile(WireFlavor::Json)).expect("async loadgen");
     report.check_smoke_invariants().expect("async smoke invariants");
     assert_eq!(report.total_rounds, 32);
     assert_eq!(report.mux.corr_echoed, 0, "JSON wire has no correlation ids");
+    // every honest and impostor round ends in a verdict
+    assert_eq!(report.traced_requests, report.honest.requests + report.impostor.requests);
+    assert!(report.correlated_traces >= Some(1), "{:?}", report.correlated_traces);
 }

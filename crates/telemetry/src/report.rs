@@ -229,8 +229,9 @@ impl Report {
     ///
     /// # Errors
     ///
-    /// Returns [`ReportError`] on malformed JSON, a missing field, or a
-    /// schema version other than [`SCHEMA_VERSION`].
+    /// Returns [`ReportError`] on malformed JSON (including nesting
+    /// deeper than 128 levels), a missing field, or a schema version
+    /// other than [`SCHEMA_VERSION`].
     pub fn from_json(text: &str) -> Result<Report, ReportError> {
         let value = json::parse(text).map_err(ReportError)?;
         let map = value.as_map().ok_or_else(|| ReportError("top level is not an object".into()))?;
@@ -849,8 +850,11 @@ mod json {
         }
     }
 
+    /// Deepest array/object nesting accepted — serde_json's limit.
+    const MAX_DEPTH: usize = 128;
+
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -863,6 +867,8 @@ mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -896,57 +902,76 @@ mod json {
                 Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
                 Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
                 Some(b'"') => self.string().map(Value::Str),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut items = Vec::new();
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) == Some(&b']') {
+                Some(b'[') => self.nested(Self::seq),
+                Some(b'{') => self.nested(Self::map),
+                Some(_) => self.number(),
+                None => Err("unexpected end of input".into()),
+            }
+        }
+
+        /// Parses one array or object a level deeper, refusing to go
+        /// past `MAX_DEPTH` so hostile input cannot exhaust the stack.
+        fn nested(
+            &mut self,
+            parse: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+            }
+            self.depth += 1;
+            let value = parse(self);
+            self.depth -= 1;
+            value
+        }
+
+        fn seq(&mut self) -> Result<Value, String> {
+            self.pos += 1;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if self.bytes.get(self.pos) == Some(&b']') {
+                self.pos += 1;
+                return Ok(Value::Seq(items));
+            }
+            loop {
+                self.skip_ws();
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.bytes.get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => {
                         self.pos += 1;
                         return Ok(Value::Seq(items));
                     }
-                    loop {
-                        self.skip_ws();
-                        items.push(self.value()?);
-                        self.skip_ws();
-                        match self.bytes.get(self.pos) {
-                            Some(b',') => self.pos += 1,
-                            Some(b']') => {
-                                self.pos += 1;
-                                return Ok(Value::Seq(items));
-                            }
-                            _ => return Err(format!("bad array at byte {}", self.pos)),
-                        }
-                    }
+                    _ => return Err(format!("bad array at byte {}", self.pos)),
                 }
-                Some(b'{') => {
-                    self.pos += 1;
-                    let mut entries = Vec::new();
-                    self.skip_ws();
-                    if self.bytes.get(self.pos) == Some(&b'}') {
+            }
+        }
+
+        fn map(&mut self) -> Result<Value, String> {
+            self.pos += 1;
+            let mut entries = Vec::new();
+            self.skip_ws();
+            if self.bytes.get(self.pos) == Some(&b'}') {
+                self.pos += 1;
+                return Ok(Value::Map(entries));
+            }
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                self.skip_ws();
+                let value = self.value()?;
+                entries.push((key, value));
+                self.skip_ws();
+                match self.bytes.get(self.pos) {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => {
                         self.pos += 1;
                         return Ok(Value::Map(entries));
                     }
-                    loop {
-                        self.skip_ws();
-                        let key = self.string()?;
-                        self.skip_ws();
-                        self.eat(b':')?;
-                        self.skip_ws();
-                        let value = self.value()?;
-                        entries.push((key, value));
-                        self.skip_ws();
-                        match self.bytes.get(self.pos) {
-                            Some(b',') => self.pos += 1,
-                            Some(b'}') => {
-                                self.pos += 1;
-                                return Ok(Value::Map(entries));
-                            }
-                            _ => return Err(format!("bad object at byte {}", self.pos)),
-                        }
-                    }
+                    _ => return Err(format!("bad object at byte {}", self.pos)),
                 }
-                Some(_) => self.number(),
-                None => Err("unexpected end of input".into()),
             }
         }
 
@@ -1073,6 +1098,16 @@ mod tests {
     fn missing_field_is_an_error() {
         assert!(Report::from_json("{\"schema_version\": 1}").is_err());
         assert!(Report::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error_not_a_stack_overflow() {
+        let err = Report::from_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // the cap sits past any depth a real report reaches
+        let nested = "[".repeat(128) + &"]".repeat(128);
+        let err = Report::from_json(&nested).unwrap_err();
+        assert!(err.to_string().contains("not an object"), "{err}");
     }
 
     #[test]
