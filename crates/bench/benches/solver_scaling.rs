@@ -6,8 +6,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use ppuf_maxflow::{
-    ApproxMaxFlow, Dinic, EdmondsKarp, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId,
-    ParallelPushRelabel, PushRelabel,
+    Dinic, EdmondsKarp, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId, PushRelabel,
 };
 
 fn complete_instance(n: usize, seed: u64) -> FlowNetwork {
@@ -27,8 +26,6 @@ fn bench_solvers(c: &mut Criterion) {
             ("push_relabel", Box::new(PushRelabel::new())),
             ("highest_label", Box::new(HighestLabel::new())),
             ("edmonds_karp", Box::new(EdmondsKarp::new())),
-            ("parallel_pr_4t", Box::new(ParallelPushRelabel::with_threads(4).expect("threads"))),
-            ("approx_1pct", Box::new(ApproxMaxFlow::new(0.01).expect("eps"))),
         ];
         for (name, solver) in solvers {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {

@@ -105,8 +105,8 @@ impl PublicModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::InvalidConfig`] if a capacity vector does not
-    /// have `n(n−1)` entries.
+    /// Returns [`PpufError::InvalidConfig`] if the parts disagree on the
+    /// model's shape (see [`check_shape`](Self::check_shape)).
     pub fn new(
         nodes: usize,
         grid: GridPartition,
@@ -114,18 +114,48 @@ impl PublicModel {
         capacities_b: PublishedCapacities,
         comparator: Comparator,
     ) -> Result<Self, PpufError> {
-        let m = nodes * nodes.saturating_sub(1);
-        for (side, caps) in [("A", &capacities_a), ("B", &capacities_b)] {
-            if caps.bit0.len() != m {
-                return Err(PpufError::InvalidConfig {
-                    reason: format!(
-                        "network {side} publishes {} capacities, expected {m}",
-                        caps.bit0.len()
-                    ),
-                });
+        let model = PublicModel { nodes, grid, capacities_a, capacities_b, comparator };
+        model.check_shape()?;
+        Ok(model)
+    }
+
+    /// Checks that the model's parts agree on its shape: the grid
+    /// partition is a valid partition of exactly `nodes` nodes, and each
+    /// of the four capacity vectors has one entry per edge, `n(n−1)`.
+    ///
+    /// [`new`](Self::new) runs this check, but a model deserialized from
+    /// an untrusted source has skipped it; check it before use, since
+    /// [`flow_network`](Self::flow_network) indexes by these shapes.
+    /// The cost is `O(1)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::InvalidConfig`] naming the first mismatch.
+    pub fn check_shape(&self) -> Result<(), PpufError> {
+        let invalid = |reason: String| PpufError::InvalidConfig { reason };
+        if self.grid.nodes() != self.nodes {
+            return Err(invalid(format!(
+                "grid partition covers {} nodes, model has {}",
+                self.grid.nodes(),
+                self.nodes
+            )));
+        }
+        GridPartition::new(self.nodes, self.grid.grid())?;
+        let m = self
+            .nodes
+            .checked_mul(self.nodes - 1)
+            .ok_or_else(|| invalid(format!("{} nodes overflow the edge count", self.nodes)))?;
+        for (side, caps) in [("A", &self.capacities_a), ("B", &self.capacities_b)] {
+            for (bit, values) in [("bit-0", &caps.bit0), ("bit-1", &caps.bit1)] {
+                if values.len() != m {
+                    return Err(invalid(format!(
+                        "network {side} publishes {} {bit} capacities, expected {m}",
+                        values.len()
+                    )));
+                }
             }
         }
-        Ok(PublicModel { nodes, grid, capacities_a, capacities_b, comparator })
+        Ok(())
     }
 
     /// Number of circuit nodes.
@@ -267,6 +297,42 @@ mod tests {
         let grid = GridPartition::new(4, 2).unwrap();
         let short = PublishedCapacities { bit0: vec![1.0; 3], bit1: vec![1.0; 3] };
         assert!(PublicModel::new(4, grid, short.clone(), short, Comparator::default()).is_err());
+    }
+
+    #[test]
+    fn shape_check_rejects_inconsistent_models() {
+        let grid = GridPartition::new(4, 2).unwrap();
+        let caps = |bit0: usize, bit1: usize| PublishedCapacities {
+            bit0: vec![1.0; bit0],
+            bit1: vec![1.0; bit1],
+        };
+        let cmp = Comparator::default;
+        // bit-1 vector shorter than the bit-0 one, on either side
+        assert!(PublicModel::new(4, grid, caps(12, 11), caps(12, 12), cmp()).is_err());
+        assert!(PublicModel::new(4, grid, caps(12, 12), caps(12, 11), cmp()).is_err());
+        // a grid partition of a different node count
+        let other = GridPartition::new(5, 2).unwrap();
+        assert!(PublicModel::new(4, other, caps(12, 12), caps(12, 12), cmp()).is_err());
+        // n(n−1) overflows instead of wrapping to a small count
+        let huge = GridPartition::new(usize::MAX, 1).unwrap();
+        assert!(PublicModel::new(usize::MAX, huge, caps(0, 0), caps(0, 0), cmp()).is_err());
+
+        // a deserialized model skips `new`: every tampered shape must
+        // still fail the check before it reaches the indexing
+        let json = serde_json::to_string(&tiny_model()).unwrap();
+        let honest: PublicModel = serde_json::from_str(&json).unwrap();
+        assert!(honest.check_shape().is_ok());
+        let head = r#"{"nodes":4,"grid":{"nodes":4,"#;
+        assert!(json.starts_with(head), "{json}");
+        for (edited, expected) in [
+            (r#"{"nodes":5,"grid":{"nodes":4,"#, "grid partition covers 4 nodes"),
+            (r#"{"nodes":5,"grid":{"nodes":5,"#, "expected 20"),
+        ] {
+            let tampered: PublicModel =
+                serde_json::from_str(&json.replacen(head, edited, 1)).unwrap();
+            let err = tampered.check_shape().unwrap_err();
+            assert!(err.to_string().contains(expected), "{err}");
+        }
     }
 
     #[test]

@@ -22,6 +22,15 @@ use std::fmt::Write as _;
 
 use crate::graph::{FlowNetwork, NodeId};
 
+/// Largest node count [`from_dimacs`] accepts in a problem line.
+///
+/// The network's two adjacency tables are allocated for the declared
+/// count before any arc is read, at 48 bytes per node, so an unchecked
+/// count in a 22-byte header could ask for terabytes. The cap keeps that
+/// allocation under 50 MiB while staying three orders of magnitude above
+/// the paper's largest instance (n = 900) and every fixture.
+pub const MAX_DIMACS_NODES: usize = 1 << 20;
+
 /// A parsed DIMACS instance: the network plus its designated terminals.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DimacsInstance {
@@ -94,7 +103,8 @@ fn format_capacity(c: f64) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseDimacsError`] naming the offending line for malformed
-/// or duplicate problem lines, out-of-range or 0-based node ids,
+/// or duplicate problem lines, node counts above [`MAX_DIMACS_NODES`],
+/// out-of-range or 0-based node ids,
 /// duplicate arcs, coinciding terminals, missing problem/terminal lines,
 /// malformed capacities, and unknown line types.
 pub fn from_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
@@ -120,6 +130,18 @@ pub fn from_dimacs(text: &str) -> Result<DimacsInstance, ParseDimacsError> {
                 }
                 let nodes: usize = parse(parts.next(), lineno, "node count")?;
                 let _edges: usize = parse(parts.next(), lineno, "edge count")?;
+                if u32::try_from(nodes).is_err() {
+                    return Err(ParseDimacsError::at(
+                        lineno,
+                        &format!("node count {nodes} does not fit a 32-bit node id"),
+                    ));
+                }
+                if nodes > MAX_DIMACS_NODES {
+                    return Err(ParseDimacsError::at(
+                        lineno,
+                        &format!("node count {nodes} exceeds the limit of {MAX_DIMACS_NODES}"),
+                    ));
+                }
                 network = Some(FlowNetwork::new(nodes));
             }
             "n" => {
@@ -296,6 +318,23 @@ mod tests {
             let err = from_dimacs(bad).expect_err(bad);
             assert!(err.message.contains(want), "input {bad:?}: got {err}");
         }
+    }
+
+    /// Each header declares a node count the parser must refuse before
+    /// allocating the network's per-node tables for it.
+    #[test]
+    fn rejects_huge_node_counts_before_allocating() {
+        for (bad, want) in [
+            ("p max 100000000000 0\n", "does not fit a 32-bit node id"),
+            ("p max 4294967297 1\nn 1 s\nn 2 t\n", "does not fit a 32-bit node id"),
+            ("p max 1048577 0\n", "exceeds the limit of 1048576"),
+        ] {
+            let err = from_dimacs(bad).expect_err(bad);
+            assert_eq!(err.line, 0, "input {bad:?}");
+            assert!(err.message.contains(want), "input {bad:?}: got {err}");
+        }
+        let at_cap = format!("p max {MAX_DIMACS_NODES} 1\nn 1 s\nn {MAX_DIMACS_NODES} t\n");
+        assert_eq!(from_dimacs(&at_cap).unwrap().network.node_count(), MAX_DIMACS_NODES);
     }
 
     #[test]

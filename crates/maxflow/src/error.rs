@@ -43,12 +43,8 @@ pub enum MaxFlowError {
         /// Edges in the network.
         network_edges: usize,
     },
-    /// An approximation parameter was outside `(0, 1)`.
-    InvalidEpsilon {
-        /// The offending value.
-        value: f64,
-    },
-    /// A thread-count of zero was requested for a parallel solver.
+    /// A thread count of zero was requested for the parallel residual BFS
+    /// ([`ResidualGraph::is_reachable_parallel`](crate::ResidualGraph::is_reachable_parallel)).
     ZeroThreads,
 }
 
@@ -73,11 +69,8 @@ impl fmt::Display for MaxFlowError {
             MaxFlowError::FlowShapeMismatch { flow_edges, network_edges } => {
                 write!(f, "flow assignment has {flow_edges} edges but network has {network_edges}")
             }
-            MaxFlowError::InvalidEpsilon { value } => {
-                write!(f, "approximation parameter {value} must lie in (0, 1)")
-            }
             MaxFlowError::ZeroThreads => {
-                write!(f, "parallel solver requires at least one thread")
+                write!(f, "parallel reachability requires at least one thread")
             }
         }
     }
@@ -98,7 +91,6 @@ mod tests {
             MaxFlowError::InvalidCapacity { value: -2.0 },
             MaxFlowError::SourceIsSink { node: NodeId::new(0) },
             MaxFlowError::FlowShapeMismatch { flow_edges: 2, network_edges: 3 },
-            MaxFlowError::InvalidEpsilon { value: 2.0 },
             MaxFlowError::ZeroThreads,
         ];
         for e in errors {

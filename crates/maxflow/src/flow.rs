@@ -75,11 +75,6 @@ impl Flow {
         &self.edge_flow
     }
 
-    /// Number of edges carrying flow above `tol`.
-    pub fn support_size(&self, tol: f64) -> usize {
-        self.edge_flow.iter().filter(|&&f| f > tol).count()
-    }
-
     /// Recomputes the net flow out of the source from the edge flows.
     ///
     /// # Errors
@@ -187,7 +182,6 @@ mod tests {
         let report = flow.check_feasible(&net, DEFAULT_TOLERANCE).unwrap();
         assert!(report.is_feasible());
         assert_eq!(flow.value(), 0.0);
-        assert_eq!(flow.support_size(DEFAULT_TOLERANCE), 0);
     }
 
     #[test]
@@ -233,12 +227,5 @@ mod tests {
             flow.check_feasible(&net, DEFAULT_TOLERANCE),
             Err(MaxFlowError::FlowShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn support_size_counts_positive_edges() {
-        let (_, s, t) = diamond();
-        let flow = Flow::from_edge_flows(s, t, 3.0, vec![2.0, 0.0, 2.0, 1e-15]);
-        assert_eq!(flow.support_size(DEFAULT_TOLERANCE), 2);
     }
 }

@@ -261,11 +261,6 @@ impl FlowNetwork {
         self.edges.iter().map(|e| e.capacity).sum()
     }
 
-    /// Largest single edge capacity, or 0.0 for an edgeless network.
-    pub fn max_capacity(&self) -> f64 {
-        self.edges.iter().map(|e| e.capacity).fold(0.0, f64::max)
-    }
-
     /// Sum of capacities of edges leaving `v` (the out-cut bound).
     ///
     /// For the PPUF's complete graph this bounds the value of any flow out
@@ -285,26 +280,6 @@ impl FlowNetwork {
     /// Panics if `v` is out of range.
     pub fn in_capacity(&self, v: NodeId) -> f64 {
         self.in_adj[v.index()].iter().map(|&e| self.edges[e.index()].capacity).sum()
-    }
-
-    /// Replaces the capacity of edge `e`.
-    ///
-    /// Used by the PPUF layer when a type-B challenge re-programs the grid
-    /// control voltages (which changes every covered block's saturation
-    /// current).
-    ///
-    /// # Errors
-    ///
-    /// - [`MaxFlowError::InvalidEdge`] if `e` is out of range.
-    /// - [`MaxFlowError::InvalidCapacity`] if `capacity` is negative, NaN,
-    ///   or infinite.
-    pub fn set_capacity(&mut self, e: EdgeId, capacity: f64) -> Result<(), MaxFlowError> {
-        if !capacity.is_finite() || capacity < 0.0 {
-            return Err(MaxFlowError::InvalidCapacity { value: capacity });
-        }
-        let edge = self.edges.get_mut(e.index()).ok_or(MaxFlowError::InvalidEdge { edge: e })?;
-        edge.capacity = capacity;
-        Ok(())
     }
 
     /// Validates that `v` names a vertex of this network.
@@ -332,23 +307,6 @@ impl FlowNetwork {
             return Err(MaxFlowError::SourceIsSink { node: source });
         }
         Ok(())
-    }
-
-    /// `true` if every ordered vertex pair is connected by exactly one edge.
-    pub fn is_complete(&self) -> bool {
-        let n = self.node_count;
-        if self.edges.len() != n * n.saturating_sub(1) {
-            return false;
-        }
-        let mut seen = vec![false; n * n];
-        for e in &self.edges {
-            let k = e.from.index() * n + e.to.index();
-            if seen[k] {
-                return false;
-            }
-            seen[k] = true;
-        }
-        true
     }
 }
 
@@ -412,15 +370,8 @@ mod tests {
         for n in [1usize, 2, 3, 7] {
             let net = FlowNetwork::complete(n, |_, _| 1.0).unwrap();
             assert_eq!(net.edge_count(), n * (n - 1));
-            assert!(net.is_complete());
+            assert!(net.nodes().all(|v| net.out_edges(v).len() == n - 1));
         }
-    }
-
-    #[test]
-    fn incomplete_graph_detected() {
-        let mut net = FlowNetwork::new(3);
-        net.add_edge(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
-        assert!(!net.is_complete());
     }
 
     #[test]
@@ -430,19 +381,8 @@ mod tests {
         net.add_edge(NodeId::new(0), NodeId::new(2), 2.0).unwrap();
         net.add_edge(NodeId::new(1), NodeId::new(2), 4.0).unwrap();
         assert_eq!(net.total_capacity(), 7.0);
-        assert_eq!(net.max_capacity(), 4.0);
         assert_eq!(net.out_capacity(NodeId::new(0)), 3.0);
         assert_eq!(net.in_capacity(NodeId::new(2)), 6.0);
-    }
-
-    #[test]
-    fn set_capacity_updates_edge() {
-        let mut net = FlowNetwork::new(2);
-        let e = net.add_edge(NodeId::new(0), NodeId::new(1), 1.0).unwrap();
-        net.set_capacity(e, 5.0).unwrap();
-        assert_eq!(net.edge(e).unwrap().capacity, 5.0);
-        assert!(net.set_capacity(EdgeId::new(9), 1.0).is_err());
-        assert!(net.set_capacity(e, -1.0).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `O(V³)` worst case — the algorithm the paper measures through Boost as
 //! its "simulation time" reference, and the basis of the best known
 //! parallel bound (Shiloach–Vishkin style, `O(n² log n)` with `n`
-//! processors; see [`crate::parallel`]).
+//! processors), which the paper cites rather than runs.
 
 use std::collections::VecDeque;
 
@@ -28,28 +28,18 @@ use crate::solver::{MaxFlowSolver, SolveStats};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushRelabel {
     tolerance: f64,
-    /// Run a global relabel every `relabel_period × n` relabel operations.
-    global_relabel: bool,
 }
 
 impl PushRelabel {
-    /// Creates a solver with the [default tolerance](DEFAULT_TOLERANCE) and
-    /// heuristics enabled.
+    /// Creates a solver with the [default tolerance](DEFAULT_TOLERANCE).
     pub fn new() -> Self {
-        PushRelabel { tolerance: DEFAULT_TOLERANCE, global_relabel: true }
+        PushRelabel { tolerance: DEFAULT_TOLERANCE }
     }
 
     /// Creates a solver treating residual capacities below `tolerance` as
     /// saturated.
     pub fn with_tolerance(tolerance: f64) -> Self {
-        PushRelabel { tolerance, global_relabel: true }
-    }
-
-    /// Disables the periodic global-relabel heuristic (useful for ablation
-    /// benchmarks; correctness is unaffected).
-    pub fn without_global_relabel(mut self) -> Self {
-        self.global_relabel = false;
-        self
+        PushRelabel { tolerance }
     }
 
     /// The saturation tolerance in use.
@@ -237,7 +227,7 @@ impl PushRelabel {
                 st.enqueue(v);
             }
         }
-        let relabel_budget = if self.global_relabel { n.max(16) } else { usize::MAX };
+        let relabel_budget = n.max(16);
         let mut relabels_since_global = 0usize;
         // the discharge phase is timed as the whole FIFO loop minus the
         // periodic global relabels inside it: one timestamp pair per pop
@@ -382,16 +372,6 @@ mod tests {
             );
             assert!(pr.check_feasible(&net, 1e-7).unwrap().is_feasible());
         }
-    }
-
-    #[test]
-    fn without_global_relabel_still_correct() {
-        let net = FlowNetwork::complete(8, |u, v| 0.1 + ((u.index() + 3 * v.index()) % 5) as f64)
-            .unwrap();
-        let (s, t) = (NodeId::new(0), NodeId::new(7));
-        let a = PushRelabel::new().max_flow(&net, s, t).unwrap();
-        let b = PushRelabel::new().without_global_relabel().max_flow(&net, s, t).unwrap();
-        assert!((a.value() - b.value()).abs() < 1e-8);
     }
 
     #[test]

@@ -102,38 +102,6 @@ impl ResidualGraph {
         Ok(ResidualGraph { node_count: n, source: flow.source(), sink: flow.sink(), edges, adj })
     }
 
-    /// Reconstructs a residual graph from a prover-supplied edge list.
-    ///
-    /// This is the verifier entry point of the authentication protocol: the
-    /// verifier receives the claimed residual edges and only needs
-    /// reachability, never the full flow.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MaxFlowError::InvalidNode`] if an edge references a vertex
-    /// `≥ node_count`, or [`MaxFlowError::InvalidCapacity`] if a residual
-    /// is not a positive finite number.
-    pub fn from_edges(
-        node_count: usize,
-        source: NodeId,
-        sink: NodeId,
-        edges: Vec<ResidualEdge>,
-    ) -> Result<Self, MaxFlowError> {
-        let mut adj = vec![Vec::new(); node_count];
-        for (i, e) in edges.iter().enumerate() {
-            for v in [e.from, e.to] {
-                if v.index() >= node_count {
-                    return Err(MaxFlowError::InvalidNode { node: v, node_count });
-                }
-            }
-            if !e.residual.is_finite() || e.residual <= 0.0 {
-                return Err(MaxFlowError::InvalidCapacity { value: e.residual });
-            }
-            adj[e.from.index()].push(i as u32);
-        }
-        Ok(ResidualGraph { node_count, source, sink, edges, adj })
-    }
-
     /// Number of vertices.
     pub fn node_count(&self) -> usize {
         self.node_count
@@ -324,44 +292,6 @@ mod tests {
         let (net, flow) = solved_instance();
         let residual = ResidualGraph::new(&net, &flow, 1e-9).unwrap();
         assert!(residual.is_reachable(NodeId::new(2), NodeId::new(2)));
-    }
-
-    #[test]
-    fn from_edges_validates() {
-        let bad_node = ResidualEdge {
-            from: NodeId::new(9),
-            to: NodeId::new(0),
-            residual: 1.0,
-            edge: EdgeId::new(0),
-            backward: false,
-        };
-        assert!(
-            ResidualGraph::from_edges(3, NodeId::new(0), NodeId::new(1), vec![bad_node]).is_err()
-        );
-        let bad_cap = ResidualEdge {
-            from: NodeId::new(0),
-            to: NodeId::new(1),
-            residual: -1.0,
-            edge: EdgeId::new(0),
-            backward: false,
-        };
-        assert!(
-            ResidualGraph::from_edges(3, NodeId::new(0), NodeId::new(1), vec![bad_cap]).is_err()
-        );
-    }
-
-    #[test]
-    fn from_edges_roundtrip_preserves_verdict() {
-        let (net, flow) = solved_instance();
-        let residual = ResidualGraph::new(&net, &flow, 1e-9).unwrap();
-        let rebuilt = ResidualGraph::from_edges(
-            net.node_count(),
-            flow.source(),
-            flow.sink(),
-            residual.edges().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(residual.certifies_max_flow(), rebuilt.certifies_max_flow());
     }
 
     #[test]

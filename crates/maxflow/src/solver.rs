@@ -17,9 +17,8 @@ pub struct SolveStats {
     /// Augmenting paths found (augmenting-path family); for Dinic, the
     /// number of blocking-flow path augmentations.
     pub augmenting_paths: u64,
-    /// Breadth-first passes: BFS searches for Edmonds–Karp and the
-    /// capacity-scaling solver, level-graph builds (phases) for Dinic,
-    /// synchronous rounds for the parallel solver.
+    /// Breadth-first passes: BFS searches for Edmonds–Karp, level-graph
+    /// builds (phases) for Dinic.
     pub bfs_passes: u64,
     /// Individual push operations (preflow-push family; for Dinic, arc
     /// saturations inside blocking-flow DFS).
@@ -54,8 +53,8 @@ impl SolveStats {
 
 /// A maximum-flow algorithm.
 ///
-/// Implementations are stateless configuration objects (e.g. a tolerance or
-/// a thread count); each [`max_flow`](MaxFlowSolver::max_flow) call builds
+/// Implementations are stateless configuration objects (a saturation
+/// tolerance); each [`max_flow`](MaxFlowSolver::max_flow) call builds
 /// its own working state, so one solver value can be reused and shared
 /// across threads.
 ///

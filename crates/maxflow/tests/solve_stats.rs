@@ -3,8 +3,7 @@
 
 use ppuf_maxflow::dimacs::from_dimacs;
 use ppuf_maxflow::{
-    ApproxMaxFlow, Dinic, EdmondsKarp, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId,
-    ParallelPushRelabel, PushRelabel, SolveStats,
+    Dinic, EdmondsKarp, FlowNetwork, HighestLabel, MaxFlowSolver, NodeId, PushRelabel, SolveStats,
 };
 use ppuf_telemetry::MemoryRecorder;
 
@@ -14,8 +13,6 @@ fn solvers() -> Vec<Box<dyn MaxFlowSolver + Send + Sync>> {
         Box::new(Dinic::new()),
         Box::new(PushRelabel::new()),
         Box::new(HighestLabel::new()),
-        Box::new(ParallelPushRelabel::with_threads(2).unwrap()),
-        Box::new(ApproxMaxFlow::new(0.01).unwrap()),
     ]
 }
 

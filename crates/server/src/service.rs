@@ -50,29 +50,16 @@ pub struct ServiceConfig {
     /// challenge per session (which makes the verification cache useless,
     /// since honest answers then never repeat).
     pub challenge_pool: usize,
-    /// Verification cache shard count.
-    pub cache_shards: usize,
-    /// Verification cache entries per shard.
-    pub cache_capacity: usize,
-    /// Backoff hint attached to `Overloaded` responses, in milliseconds.
-    pub retry_after_ms: u64,
     /// Seed for per-device challenge sampling and nonce salting.
     pub seed: u64,
-    /// SLO thresholds and sliding-window geometry for the health surface.
-    pub slo: SloConfig,
     /// Flight-recorder trace ring capacity; 0 disables the recorder.
     pub flightrec_traces: usize,
-    /// Flight-recorder black-box event ring capacity.
-    pub flightrec_events: usize,
     /// Directory for post-mortem dumps; `None` keeps the recorder
     /// in-memory only (admin `Dump` then returns the counts but no path).
     pub flightrec_dir: Option<String>,
     /// Flow-rejections plus internal errors in the SLO window at which
     /// the failure-burst trigger fires a flight-recorder dump.
     pub failure_burst_threshold: u64,
-    /// Overloaded responses (transport sheds) in the SLO window at which
-    /// the pool-saturation trigger fires a flight-recorder dump.
-    pub saturation_threshold: u64,
     /// Newest post-mortem dumps kept on disk per dump directory; older
     /// files are rotated out after each write. 0 disables rotation.
     pub flightrec_keep: usize,
@@ -86,16 +73,10 @@ impl Default for ServiceConfig {
             session_ttl: DEFAULT_SESSION_TTL,
             tolerance: VERIFY_TOLERANCE,
             challenge_pool: 0,
-            cache_shards: 8,
-            cache_capacity: 1024,
-            retry_after_ms: 50,
             seed: 0,
-            slo: SloConfig::default(),
             flightrec_traces: DEFAULT_FLIGHT_TRACES,
-            flightrec_events: DEFAULT_FLIGHT_EVENTS,
             flightrec_dir: None,
             failure_burst_threshold: 8,
-            saturation_threshold: 8,
             flightrec_keep: DEFAULT_FLIGHTREC_KEEP,
         }
     }
@@ -104,6 +85,16 @@ impl Default for ServiceConfig {
 /// Default [`ServiceConfig::flightrec_keep`]: dumps retained per
 /// directory before rotation deletes the oldest.
 pub const DEFAULT_FLIGHTREC_KEEP: usize = 16;
+
+/// Verification cache shard count.
+const CACHE_SHARDS: usize = 8;
+/// Verification cache entries per shard.
+const CACHE_CAPACITY: usize = 1024;
+/// Backoff hint attached to `Overloaded` responses, in milliseconds.
+const RETRY_AFTER_MS: u64 = 50;
+/// Overloaded responses (transport sheds) in the SLO window at which the
+/// pool-saturation trigger fires a flight-recorder dump.
+const SATURATION_THRESHOLD: u64 = 8;
 
 /// A running verification service (without a transport).
 #[derive(Debug)]
@@ -138,17 +129,17 @@ impl VerificationService {
     /// a [`ManualClock`](ppuf_core::protocol::clock::ManualClock) to
     /// exercise deadlines and expiry without sleeping.
     pub fn with_clock(config: ServiceConfig, clock: Arc<dyn Clock>) -> Self {
-        let cache = VerificationCache::new(config.cache_shards, config.cache_capacity);
+        let cache = VerificationCache::new(CACHE_SHARDS, CACHE_CAPACITY);
         let profiler = Arc::new(Profiler::new());
         let mut recorder = MemoryRecorder::new();
         recorder.set_profiler(Arc::clone(&profiler));
         let recorder = Arc::new(recorder);
         warm_start_preflight(recorder.as_ref());
-        let health = HealthTracker::new(config.slo.clone());
+        let health = HealthTracker::new(SloConfig::default());
         let flight = if config.flightrec_traces == 0 {
             FlightRecorder::disabled()
         } else {
-            FlightRecorder::new(config.flightrec_traces, config.flightrec_events)
+            FlightRecorder::new(config.flightrec_traces, DEFAULT_FLIGHT_EVENTS)
         };
         VerificationService {
             config,
@@ -237,7 +228,7 @@ impl VerificationService {
         let response = Response::Error {
             kind: ErrorKind::Overloaded,
             message: "dispatch queue full".into(),
-            retry_after_ms: Some(self.config.retry_after_ms),
+            retry_after_ms: Some(RETRY_AFTER_MS),
         };
         self.observe(request_kind(request), trace, 0.0, &response);
         response
@@ -306,7 +297,7 @@ impl VerificationService {
         if totals.rejected_flow + totals.internal_errors >= self.config.failure_burst_threshold {
             self.triggered_dump("failure-burst", now);
         }
-        if totals.overloaded >= self.config.saturation_threshold {
+        if totals.overloaded >= SATURATION_THRESHOLD {
             self.triggered_dump("pool-saturation", now);
         }
     }
@@ -315,7 +306,7 @@ impl VerificationService {
         {
             let mut last = self.dump_last.lock().unwrap_or_else(|e| e.into_inner());
             match last.get(label) {
-                Some(&at) if now - at < self.config.slo.window_s => return,
+                Some(&at) if now - at < self.health.config().window_s => return,
                 _ => {
                     last.insert(label, now);
                 }
@@ -447,7 +438,12 @@ impl VerificationService {
     }
 
     fn register(&self, device_id: String, model: PublicModel) -> Response {
-        let space = match ChallengeSpace::new(model.nodes(), model.grid().grid()) {
+        // the model arrived deserialized, so nothing has checked that its
+        // parts agree; the verifier indexes by them
+        let space = match model
+            .check_shape()
+            .and_then(|()| ChallengeSpace::new(model.nodes(), model.grid().grid()))
+        {
             Ok(space) => space,
             Err(e) => {
                 return Response::error(ErrorKind::Malformed, format!("unusable model: {e}"));
@@ -871,7 +867,7 @@ mod tests {
     fn health_reports_ok_on_honest_traffic() {
         let clock = Arc::new(ManualClock::new());
         let config = ServiceConfig { challenge_pool: 1, ..ServiceConfig::default() };
-        let min = config.slo.min_requests as usize;
+        let min = SloConfig::default().min_requests as usize;
         let (service, ppuf) = service_with_device(config, Arc::clone(&clock));
         let executor = ppuf.executor(Environment::NOMINAL);
         // each round is two observed requests (challenge + answer)

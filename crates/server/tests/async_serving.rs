@@ -11,7 +11,9 @@ use std::time::{Duration, Instant};
 use ppuf_analog::units::Seconds;
 use ppuf_analog::variation::Environment;
 use ppuf_core::device::{Ppuf, PpufConfig};
-use ppuf_core::protocol::auth::prove;
+use ppuf_core::protocol::auth::{prove, ProverAnswer};
+use ppuf_core::public_model::PublicModel;
+use ppuf_maxflow::{Flow, NodeId};
 use ppuf_server::loadgen::{run_loadgen, LoadgenConfig};
 use ppuf_server::mux::WireFlavor;
 use ppuf_server::service::{ServiceConfig, VerificationService};
@@ -309,6 +311,72 @@ fn deeply_nested_json_is_refused_and_serving_continues() {
         let mut fresh = Client::connect(server.local_addr()).expect("fresh connect");
         assert!(matches!(fresh.request(&Request::Ping).expect("ping"), Response::Pong));
     }
+}
+
+/// A `Register` model whose parts disagree on its shape arrives
+/// deserialized, so `PublicModel::new` never checked it: the service must
+/// refuse it before building a verifier that would index past its
+/// vectors. Three such models (more than the two dispatch threads) are
+/// each refused with `Malformed`, leave no device behind for a
+/// `SubmitAnswer`, and leave the server answering.
+#[test]
+fn inconsistent_register_models_are_refused_and_serving_continues() {
+    let server = bind_async(AsyncConfig::default());
+    let ppuf = Ppuf::generate(PpufConfig::paper(6, 2), SEED).expect("device generation");
+    let json = serde_json::to_string(&ppuf.public_model().expect("model")).expect("encode");
+    // zero flows over the 42 edges of the honest 6-node device
+    let zero = Flow::from_edge_flows(NodeId::new(0), NodeId::new(5), 0.0, vec![0.0; 42]);
+    let answer = ProverAnswer { response: false, flow_a: zero.clone(), flow_b: zero };
+
+    let head = r#"{"nodes":6,"grid":{"nodes":6,"#;
+    assert!(json.starts_with(head), "{json}");
+    // network B's bit-1 vector loses its first entry
+    let bit1 = json.rfind(r#""bit1":["#).expect("bit1 vector") + r#""bit1":["#.len();
+    let first = bit1 + json[bit1..].find(',').expect("two entries");
+    let tampered = [
+        json.replacen(head, r#"{"nodes":7,"grid":{"nodes":6,"#, 1),
+        json.replacen(head, r#"{"nodes":7,"grid":{"nodes":7,"#, 1),
+        format!("{}{}", &json[..bit1], &json[first + 1..]),
+    ];
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut exchange = |request: &Request| {
+        ppuf_server::wire::send_message(&mut stream, request).expect("send");
+        ppuf_server::wire::recv_message::<_, Response>(&mut stream)
+            .expect("read")
+            .expect("the server answered")
+    };
+    for (i, text) in tampered.iter().enumerate() {
+        let model: PublicModel = serde_json::from_str(text).expect("still deserializes");
+        let device_id = format!("tampered-{i}");
+        let response = exchange(&Request::Register { device_id: device_id.clone(), model });
+        assert!(
+            matches!(&response, Response::Error { kind: ErrorKind::Malformed, message, .. }
+                if message.starts_with("unusable model: ")),
+            "model {i}: {response:?}"
+        );
+        let response =
+            exchange(&Request::SubmitAnswer { device_id, nonce: 1, answer: answer.clone() });
+        assert!(
+            matches!(response, Response::Error { kind: ErrorKind::UnknownDevice, .. }),
+            "model {i}: {response:?}"
+        );
+    }
+
+    let mut fresh = Client::connect(server.local_addr()).expect("fresh connect");
+    assert!(matches!(fresh.request(&Request::Ping).expect("ping"), Response::Pong));
+    let ppuf = register_device(server.local_addr());
+    let Response::Challenge { nonce, challenge, .. } =
+        fresh.request(&Request::GetChallenge { device_id: "dev".into() }).expect("challenge")
+    else {
+        panic!("expected a challenge");
+    };
+    let answer = prove(&ppuf.executor(Environment::NOMINAL), &challenge).expect("prove");
+    let response = fresh
+        .request(&Request::SubmitAnswer { device_id: "dev".into(), nonce, answer })
+        .expect("submit");
+    assert!(matches!(response, Response::Verdict { accepted: true, .. }), "{response:?}");
 }
 
 /// A half-written frame trips the read deadline: the slow-loris is

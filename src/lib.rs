@@ -2,10 +2,10 @@
 //!
 //! A reproduction of *"Practical Public PUF Enabled by Solving Max-Flow
 //! Problem on Chip"* (Li, Miao, Zhong, Pan — DAC 2016) as a Rust
-//! workspace. This facade crate re-exports the four member crates:
+//! workspace. This facade crate re-exports the five member crates:
 //!
-//! - [`maxflow`] (`ppuf-maxflow`) — flow networks, exact/parallel/
-//!   approximate solvers, residual-graph verification, min-cut duality;
+//! - [`maxflow`] (`ppuf-maxflow`) — flow networks, exact max-flow
+//!   solvers, residual-graph verification, min-cut duality;
 //! - [`analog`] (`ppuf-analog`) — the circuit substrate: device models,
 //!   source-degenerated building blocks, DC/transient solvers, variation;
 //! - [`core`] (`ppuf-core`) — the PPUF itself: crossbars, challenges, the
@@ -58,8 +58,8 @@ pub mod prelude {
         NetworkSide, PowerLawFit, Ppuf, PpufConfig, PpufError, PublicModel, ResponseVector,
     };
     pub use ppuf_maxflow::{
-        ApproxMaxFlow, Dinic, EdmondsKarp, Flow, FlowNetwork, MaxFlowSolver, MinCut, NodeId,
-        ParallelPushRelabel, PushRelabel, ResidualGraph,
+        Dinic, EdmondsKarp, Flow, FlowNetwork, MaxFlowSolver, MinCut, NodeId, PushRelabel,
+        ResidualGraph,
     };
     pub use ppuf_server::{AsyncConfig, AsyncServer, ServiceConfig, VerificationService};
 }
