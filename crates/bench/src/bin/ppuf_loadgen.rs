@@ -162,7 +162,6 @@ fn serve_forever(template: &LoadgenConfig) -> ! {
     let addr = arg_after("--addr").unwrap_or_else(|| "127.0.0.1:4747".to_string());
     let service = VerificationService::new(ServiceConfig {
         deadline: Some(Seconds(template.deadline_s)),
-        challenge_pool: template.challenge_pool,
         seed: template.seed,
         ..ServiceConfig::default()
     });

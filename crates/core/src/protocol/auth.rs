@@ -3,7 +3,8 @@
 //! Paper §3.2: the verifier never recomputes a max flow. It asks the
 //! prover for the response *and the flow functions behind it*, then checks
 //!
-//! 1. each flow is feasible on the published capacities (`O(m)`),
+//! 1. each flow runs between the challenge's own terminals and is
+//!    feasible on the published capacities (`O(m)`),
 //! 2. each flow is maximal — the sink is unreachable in the residual graph
 //!    (`O(n²/p)` parallel BFS),
 //! 3. the claimed response matches the comparator on the claimed values.
@@ -204,6 +205,11 @@ impl Verifier {
         challenge: &Challenge,
         flow: &Flow,
     ) -> Result<NetworkVerdict, PpufError> {
+        // the terminals arrive with the answer: a flow between any other
+        // pair proves nothing about this challenge (and is never indexed)
+        if (flow.source(), flow.sink()) != (challenge.source, challenge.sink) {
+            return Ok(NetworkVerdict { feasible: false, maximal: false });
+        }
         let net = self.model.flow_network(side, challenge)?;
         let feasible =
             flow.check_feasible(&net, self.tolerance).map_err(PpufError::Simulation)?.is_feasible();
@@ -285,6 +291,53 @@ mod tests {
         let verifier = Verifier::new(ppuf.public_model().unwrap());
         let report = verifier.verify(&challenge, &answer).unwrap();
         assert!(!report.response_consistent);
+        assert!(!report.accepted());
+    }
+
+    #[test]
+    fn foreign_terminals_are_infeasible_and_never_indexed() {
+        let (ppuf, challenge) = setup();
+        let honest = prove(&ppuf.executor(Environment::NOMINAL), &challenge).unwrap();
+        let verifier = Verifier::new(ppuf.public_model().unwrap());
+        let retarget = |flow: &Flow, source, sink, value| {
+            Flow::from_edge_flows(source, sink, value, flow.edge_flows().to_vec())
+        };
+        let far = ppuf_maxflow::NodeId::new(1_000_000);
+        let far_source = ProverAnswer {
+            flow_a: retarget(&honest.flow_a, far, challenge.sink, honest.flow_a.value()),
+            ..honest.clone()
+        };
+        // swapped terminals and negated values make the comparator agree
+        // with the opposite response bit
+        let swap = |flow: &Flow| retarget(flow, flow.sink(), flow.source(), -flow.value());
+        let swapped = ProverAnswer {
+            response: !honest.response,
+            flow_a: swap(&honest.flow_a),
+            flow_b: swap(&honest.flow_b),
+        };
+        for (name, answer) in [("swapped", swapped), ("far source", far_source)] {
+            let report = verifier.verify(&challenge, &answer).unwrap();
+            assert!(!report.network_a.feasible && !report.network_a.maximal, "{name}");
+            assert!(!report.accepted(), "{name}: {report:?}");
+        }
+    }
+
+    #[test]
+    fn nan_value_is_rejected() {
+        let (ppuf, challenge) = setup();
+        let mut answer = prove(&ppuf.executor(Environment::NOMINAL), &challenge).unwrap();
+        answer.flow_a = Flow::from_edge_flows(
+            challenge.source,
+            challenge.sink,
+            f64::NAN,
+            answer.flow_a.edge_flows().to_vec(),
+        );
+        // a NaN current compares `false` either way, so claim that bit
+        // whatever the device says
+        answer.response = false;
+        let verifier = Verifier::new(ppuf.public_model().unwrap());
+        let report = verifier.verify(&challenge, &answer).unwrap();
+        assert!(!report.network_a.feasible, "{report:?}");
         assert!(!report.accepted());
     }
 

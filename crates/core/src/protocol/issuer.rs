@@ -10,16 +10,17 @@
 //!   the wire);
 //! - redeeming a nonce consumes it — a second answer for the same session
 //!   is a **replay** and is rejected regardless of its content;
-//! - sessions left unanswered past their time-to-live **expire**;
+//! - sessions left unanswered past their time-to-live **expire**, and
+//!   issuing sweeps out those that expired a TTL ago or more, at most
+//!   once per TTL, so a client that only ever asks for challenges cannot
+//!   grow the issuer without bound;
 //! - elapsed time between issue and redeem is measured on an injectable
 //!   [`Clock`], so the verifier's deadline check and every test here run
 //!   without real sleeps.
 //!
-//! Issuers can mint fresh random challenges every time or rotate through a
-//! finite pre-minted **pool**. A pool makes repeated challenges common,
-//! which is what lets a verification cache amortize the residual-BFS
-//! optimality pass across sessions (the nonce still differs per session,
-//! so replay protection is unaffected).
+//! Every challenge is freshly sampled. The paper's timing gap holds only
+//! while a prover cannot know a challenge before its clock starts; a
+//! challenge handed out twice could be simulated offline in between.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,7 +48,8 @@ pub struct IssuedChallenge {
 /// Why a nonce could not be redeemed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RedeemError {
-    /// The nonce was never issued — or was already redeemed (a replay).
+    /// The nonce was never issued — or was already redeemed (a replay),
+    /// or its session expired a TTL ago or more and was swept out.
     UnknownNonce {
         /// The offending nonce.
         nonce: u64,
@@ -97,8 +99,9 @@ struct IssuerState {
     rng: ChaCha8Rng,
     next_nonce: u64,
     outstanding: HashMap<u64, Outstanding>,
-    pool: Vec<Challenge>,
-    pool_cursor: usize,
+    /// Clock reading at or after which the next `issue` sweeps out
+    /// long-expired sessions.
+    next_sweep: f64,
 }
 
 /// Mints nonce-bound challenges and polices replay and expiry.
@@ -143,8 +146,7 @@ impl ChallengeIssuer {
                 rng: ChaCha8Rng::seed_from_u64(seed),
                 next_nonce: 0,
                 outstanding: HashMap::new(),
-                pool: Vec::new(),
-                pool_cursor: 0,
+                next_sweep: f64::NEG_INFINITY,
             }),
         }
     }
@@ -168,51 +170,46 @@ impl ChallengeIssuer {
         self
     }
 
-    /// Pre-mints a rotating pool of `size` challenges instead of sampling
-    /// a fresh one per issue (`size = 0` restores fresh sampling).
-    ///
-    /// Challenge *reuse* is safe — verification is public — and it is what
-    /// makes a verification cache effective; the per-session nonce keeps
-    /// replay protection intact.
-    pub fn with_challenge_pool(mut self, size: usize) -> Self {
-        let state = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
-        state.pool = (0..size).map(|_| self.space.random(&mut state.rng)).collect();
-        state.pool_cursor = 0;
-        self
-    }
-
     /// The challenge space this issuer samples from.
     pub fn space(&self) -> &ChallengeSpace {
         &self.space
     }
 
     /// Number of issued-but-unredeemed sessions (expired ones included
-    /// until [`purge_expired`](Self::purge_expired) or a redeem attempt
+    /// until a redeem attempt or a sweep in [`issue`](Self::issue)
     /// removes them).
     pub fn outstanding(&self) -> usize {
         self.lock().outstanding.len()
     }
 
-    /// Issues a challenge under a fresh nonce and starts its clock.
+    /// Issues a freshly sampled challenge under a fresh nonce and starts
+    /// its clock.
+    ///
+    /// At most once per TTL it first drops the sessions that expired a
+    /// TTL ago or more (those at least twice the TTL old). Sweeps are at
+    /// least a TTL apart, so at most three of them ever scan a session
+    /// and the sweep costs amortized O(1) per issue. An answer less than
+    /// a TTL past its session's expiry still finds the session and reads
+    /// [`RedeemError::Expired`]; a later one may read
+    /// [`RedeemError::UnknownNonce`].
     pub fn issue(&self) -> IssuedChallenge {
-        let now = self.clock.now();
+        let now = self.clock.now().value();
+        let ttl = self.ttl.value();
         let mut state = self.lock();
+        if now >= state.next_sweep {
+            state.outstanding.retain(|_, o| now - o.issued_at.value() < 2.0 * ttl);
+            state.next_sweep = now + ttl;
+        }
         // counter ⊕ random offset: unique by construction (the counter),
         // unpredictable enough that nonces don't enumerate sessions
         let salt: u64 = rand::Rng::gen(&mut state.rng);
         let nonce = state.next_nonce.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt >> 32)
             ^ (state.next_nonce << 1 | 1);
         state.next_nonce += 1;
-        let challenge = if state.pool.is_empty() {
-            self.space.random(&mut state.rng)
-        } else {
-            let c = state.pool[state.pool_cursor % state.pool.len()].clone();
-            state.pool_cursor = (state.pool_cursor + 1) % state.pool.len();
-            c
-        };
+        let challenge = self.space.random(&mut state.rng);
         state
             .outstanding
-            .insert(nonce, Outstanding { challenge: challenge.clone(), issued_at: now });
+            .insert(nonce, Outstanding { challenge: challenge.clone(), issued_at: Seconds(now) });
         IssuedChallenge { nonce, challenge, deadline: self.deadline }
     }
 
@@ -239,18 +236,6 @@ impl ChallengeIssuer {
             elapsed: Seconds(age),
             deadline: self.deadline,
         })
-    }
-
-    /// Drops every session older than the TTL; returns how many were
-    /// dropped. Services call this periodically so abandoned sessions do
-    /// not accumulate.
-    pub fn purge_expired(&self) -> usize {
-        let now = self.clock.now().value();
-        let ttl = self.ttl.value();
-        let mut state = self.lock();
-        let before = state.outstanding.len();
-        state.outstanding.retain(|_, o| now - o.issued_at.value() <= ttl);
-        before - state.outstanding.len()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, IssuerState> {
@@ -333,33 +318,38 @@ mod tests {
     #[test]
     fn purge_drops_only_expired_sessions() {
         let (issuer, clock) = issuer_with_manual_clock(None, Seconds(1.0));
-        let old = issuer.issue();
+        let (late, old) = (issuer.issue(), issuer.issue());
+        // 1.5 s: the sweep keeps both (expired, but less than a TTL ago)
         clock.advance(1.5);
+        issuer.issue();
+        assert!(matches!(issuer.redeem(late.nonce), Err(RedeemError::Expired { .. })));
+        clock.advance(0.5);
         let fresh = issuer.issue();
-        assert_eq!(issuer.purge_expired(), 1);
+        // 2.5 s: the next sweep drops `old` alone
+        clock.advance(0.5);
+        issuer.issue();
+        assert_eq!(issuer.outstanding(), 3);
         assert!(matches!(issuer.redeem(old.nonce), Err(RedeemError::UnknownNonce { .. })));
         assert!(issuer.redeem(fresh.nonce).is_ok());
     }
 
     #[test]
-    fn challenge_pool_rotates_and_repeats() {
+    fn consecutive_issues_sample_fresh_challenges() {
         let (issuer, _) = issuer_with_manual_clock(None, Seconds(1e9));
-        let issuer = issuer.with_challenge_pool(3);
-        let issued: Vec<IssuedChallenge> = (0..9).map(|_| issuer.issue()).collect();
-        for k in 0..3 {
-            assert_eq!(issued[k].challenge, issued[k + 3].challenge);
-            assert_eq!(issued[k].challenge, issued[k + 6].challenge);
-        }
-        let distinct: HashSet<u64> = issued.iter().map(|i| i.nonce).collect();
-        assert_eq!(distinct.len(), 9, "pooled challenges still get unique nonces");
-    }
-
-    #[test]
-    fn fresh_sampling_restored_by_empty_pool() {
-        let (issuer, _) = issuer_with_manual_clock(None, Seconds(1e9));
-        let issuer = issuer.with_challenge_pool(2).with_challenge_pool(0);
         let a = issuer.issue();
         let b = issuer.issue();
         assert_ne!(a.challenge, b.challenge, "fresh challenges should differ");
+    }
+
+    #[test]
+    fn issuing_sweeps_out_abandoned_sessions() {
+        let (issuer, clock) = issuer_with_manual_clock(None, Seconds(1.0));
+        for _ in 0..10_000 {
+            issuer.issue();
+        }
+        clock.advance(2.0);
+        let last = issuer.issue();
+        assert_eq!(issuer.outstanding(), 1, "only the newest session is left");
+        assert!(issuer.redeem(last.nonce).is_ok());
     }
 }

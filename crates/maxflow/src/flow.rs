@@ -79,8 +79,9 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// Returns [`MaxFlowError::FlowShapeMismatch`] if the assignment does
-    /// not have one entry per network edge.
+    /// Returns [`MaxFlowError::InvalidNode`] if a terminal is not a node
+    /// of `net`, or [`MaxFlowError::FlowShapeMismatch`] if the assignment
+    /// does not have one entry per network edge.
     pub fn net_out_of_source(&self, net: &FlowNetwork) -> Result<f64, MaxFlowError> {
         self.check_shape(net)?;
         let out: f64 = net.out_edges(self.source).iter().map(|&e| self.edge_flow[e.index()]).sum();
@@ -98,9 +99,10 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// Returns [`MaxFlowError::FlowShapeMismatch`] if the assignment does
-    /// not match the network's edge count. Constraint *violations* are
-    /// reported through the `Ok` payload, not as errors.
+    /// Returns [`MaxFlowError::InvalidNode`] if a terminal is not a node
+    /// of `net`, or [`MaxFlowError::FlowShapeMismatch`] if the assignment
+    /// does not match the network's edge count. Constraint *violations*
+    /// are reported through the `Ok` payload, not as errors.
     pub fn check_feasible(
         &self,
         net: &FlowNetwork,
@@ -125,11 +127,19 @@ impl Flow {
             }
         }
         let recomputed = self.net_out_of_source(net)?;
-        report.value_mismatch = (recomputed - self.value).abs() > tol.max(self.value.abs() * 1e-9);
+        // every comparison with NaN is false: refuse a non-finite value
+        // before the `>` test can let it through
+        report.value_mismatch = !(self.value.is_finite() && recomputed.is_finite())
+            || (recomputed - self.value).abs() > tol.max(self.value.abs() * 1e-9);
         Ok(report)
     }
 
-    fn check_shape(&self, net: &FlowNetwork) -> Result<(), MaxFlowError> {
+    /// Checks that both terminals are nodes of `net` and that there is
+    /// one flow entry per edge of `net`, so that indexing by either is
+    /// safe.
+    pub(crate) fn check_shape(&self, net: &FlowNetwork) -> Result<(), MaxFlowError> {
+        net.check_node(self.source)?;
+        net.check_node(self.sink)?;
         if self.edge_flow.len() != net.edge_count() {
             return Err(MaxFlowError::FlowShapeMismatch {
                 flow_edges: self.edge_flow.len(),
@@ -214,9 +224,27 @@ mod tests {
     #[test]
     fn value_mismatch_detected() {
         let (net, s, t) = diamond();
-        let flow = Flow::from_edge_flows(s, t, 9.0, vec![2.0, 1.0, 2.0, 1.0]);
-        let report = flow.check_feasible(&net, DEFAULT_TOLERANCE).unwrap();
-        assert!(report.value_mismatch);
+        for value in [9.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let flow = Flow::from_edge_flows(s, t, value, vec![2.0, 1.0, 2.0, 1.0]);
+            let report = flow.check_feasible(&net, DEFAULT_TOLERANCE).unwrap();
+            assert!(report.value_mismatch, "value {value}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_terminals_are_errors_not_panics() {
+        let (net, s, t) = diamond();
+        let far = NodeId::new(1_000_000);
+        let invalid = MaxFlowError::InvalidNode { node: far, node_count: net.node_count() };
+        for flow in [
+            Flow::from_edge_flows(far, t, 3.0, vec![2.0, 1.0, 2.0, 1.0]),
+            Flow::from_edge_flows(s, far, 3.0, vec![2.0, 1.0, 2.0, 1.0]),
+        ] {
+            assert_eq!(flow.check_feasible(&net, DEFAULT_TOLERANCE).unwrap_err(), invalid);
+            assert_eq!(flow.net_out_of_source(&net).unwrap_err(), invalid);
+            let residual = crate::ResidualGraph::new(&net, &flow, DEFAULT_TOLERANCE);
+            assert_eq!(residual.unwrap_err(), invalid);
+        }
     }
 
     #[test]

@@ -63,15 +63,11 @@ impl ResidualGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`MaxFlowError::FlowShapeMismatch`] if `flow` does not have
-    /// one entry per edge of `net`.
+    /// Returns [`MaxFlowError::InvalidNode`] if a terminal of `flow` is
+    /// not a node of `net`, or [`MaxFlowError::FlowShapeMismatch`] if
+    /// `flow` does not have one entry per edge of `net`.
     pub fn new(net: &FlowNetwork, flow: &Flow, tol: f64) -> Result<Self, MaxFlowError> {
-        if flow.edge_flows().len() != net.edge_count() {
-            return Err(MaxFlowError::FlowShapeMismatch {
-                flow_edges: flow.edge_flows().len(),
-                network_edges: net.edge_count(),
-            });
-        }
+        flow.check_shape(net)?;
         let n = net.node_count();
         let mut edges = Vec::new();
         let mut adj = vec![Vec::new(); n];

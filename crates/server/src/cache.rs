@@ -1,14 +1,16 @@
 //! Sharded cache of verification verdicts.
 //!
 //! The expensive part of serving an answer is the verifier's two
-//! residual-graph BFS passes (the optimality certificates). When the
-//! issuer rotates a finite challenge pool, many sessions present the
-//! *same* (challenge, answer) pair for the same device — an honest
-//! device's answer is deterministic — so the flow checks can be served
-//! from cache. Only the *timeless* part of the report is stored
-//! (feasibility, maximality, response consistency); the deadline check
-//! depends on the individual session and is always recomputed by the
-//! caller.
+//! residual-graph BFS passes (the optimality certificates). When two
+//! sessions present the *same* (challenge, answer) pair for the same
+//! device — an honest device's answer is deterministic — the flow checks
+//! can be served from cache. The issuer samples every challenge fresh,
+//! so that happens only when a challenge repeats by chance — often on a
+//! small device, practically never at paper scale, where every miss
+//! pays for the two fingerprints. Only the *timeless* part of the report
+//! is stored (feasibility, maximality, response consistency); the
+//! deadline check depends on the individual session and is always
+//! recomputed by the caller.
 //!
 //! Keys are `(device id, challenge fingerprint, answer fingerprint)`;
 //! fingerprints are 64-bit [`SipHash`](std::collections::hash_map::DefaultHasher)

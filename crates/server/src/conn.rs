@@ -2,12 +2,13 @@
 //!
 //! A [`Conn`] owns one nonblocking socket plus its growable read/write
 //! buffers and does everything that does not require the service: it
-//! sniffs the wire mode off the first byte ([`WireMode`]), parses as many
-//! complete frames as the read buffer holds (pipelining), and encodes
-//! completed responses back out — out of order for the binary wire
-//! (responses carry correlation ids), strictly in request order for the
-//! JSON wire (wire 1.x has no correlation id, so its in-order contract is
-//! part of byte-identical compatibility). The event loop in
+//! sniffs the wire mode off the first byte ([`WireMode`]), reads at most
+//! one largest frame ahead, parses the complete frames the read buffer
+//! holds (pipelining) in bounded batches, and encodes completed responses
+//! back out — out of order for the binary wire (responses carry
+//! correlation ids), strictly in request order for the JSON wire (wire
+//! 1.x has no correlation id, so its in-order contract is part of
+//! byte-identical compatibility). The event loop in
 //! [`crate::reactor`] owns readiness, dispatch, and lifecycle.
 //!
 //! [`TransportStats`] is the transport-tier counter block shared between
@@ -27,6 +28,15 @@ use crate::wire2::{self, Frame2Error};
 
 /// How big one nonblocking read chunk is.
 const READ_CHUNK: usize = 16 * 1024;
+/// A connection stops reading once this much unparsed input is buffered:
+/// the largest frame plus one chunk, so a full buffer always holds a
+/// complete frame (or a frame error) and the largest answer still
+/// arrives in one pass.
+const READ_LIMIT: usize = MAX_FRAME_LEN + READ_CHUNK;
+/// Frames parsed per batch. The reactor settles the connection (flush,
+/// then the write-backlog cap) between batches, so a peer that pipelines
+/// without reading is cut off after a batch, not after its whole buffer.
+const PARSE_BATCH: usize = 64;
 
 /// Transport-tier counters, shared (lock-free) between the reactor
 /// thread, the dispatch threads, and the service's stats exposition.
@@ -252,6 +262,8 @@ pub struct Conn {
     pub(crate) opened: Instant,
     mode: WireMode,
     read_buf: Vec<u8>,
+    /// Start of the unparsed input in `read_buf`.
+    read_pos: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Requests handed to dispatch whose responses have not been encoded
@@ -281,6 +293,7 @@ impl Conn {
             opened: now,
             mode: WireMode::Unknown,
             read_buf: Vec::new(),
+            read_pos: 0,
             write_buf: Vec::new(),
             write_pos: 0,
             in_flight: 0,
@@ -317,24 +330,31 @@ impl Conn {
         self.draining && self.in_flight == 0 && !self.wants_write() && self.pending_json.is_empty()
     }
 
-    /// Nonblocking read pump: pulls everything available off the socket,
-    /// then parses as many complete frames as arrived.
+    /// Nonblocking read pump: pulls what the socket has, up to
+    /// [`READ_LIMIT`] buffered bytes, then parses the first batch of
+    /// frames ([`parse`](Self::parse) yields the rest).
     ///
     /// `Ok(items)` may be empty (partial frame). An `Err` is a close
     /// verdict, not an I/O result — the reactor tears the connection down.
     pub(crate) fn on_readable(&mut self, now: Instant) -> Result<Vec<Inbound>, CloseReason> {
+        // drop the parsed input; the reactor calls `parse` until it comes
+        // back empty, so only a partial frame is left to move
+        self.read_buf.drain(..self.read_pos);
+        self.read_pos = 0;
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match self.stream.read(&mut chunk) {
+        // level-triggered: input left on the socket wakes the loop again
+        while self.read_buf.len() < READ_LIMIT {
+            let room = (READ_LIMIT - self.read_buf.len()).min(READ_CHUNK);
+            match self.stream.read(&mut chunk[..room]) {
                 Ok(0) => {
                     self.draining = true;
                     break;
                 }
                 Ok(n) => {
                     self.read_buf.extend_from_slice(&chunk[..n]);
-                    // level-triggered: a short read means the socket is
-                    // drained, no point issuing another syscall
-                    if n < READ_CHUNK {
+                    // a short read means the socket is drained, no point
+                    // issuing another syscall
+                    if n < room {
                         break;
                     }
                 }
@@ -346,10 +366,11 @@ impl Conn {
         self.parse(now)
     }
 
-    /// Parses every complete frame currently buffered.
-    fn parse(&mut self, now: Instant) -> Result<Vec<Inbound>, CloseReason> {
-        if self.mode == WireMode::Unknown && !self.read_buf.is_empty() {
-            self.mode = match self.read_buf[0] {
+    /// Parses the next batch of at most [`PARSE_BATCH`] complete frames
+    /// from the buffered input; an empty batch means none is left.
+    pub(crate) fn parse(&mut self, now: Instant) -> Result<Vec<Inbound>, CloseReason> {
+        if self.mode == WireMode::Unknown && self.read_pos < self.read_buf.len() {
+            self.mode = match self.read_buf[self.read_pos] {
                 b if b == wire2::MAGIC[0] => WireMode::Binary,
                 // a JSON length prefix under the 16 MiB cap starts 0x00/0x01
                 0x00 | 0x01 => WireMode::Json,
@@ -364,7 +385,11 @@ impl Conn {
             WireMode::Json => self.parse_json(&mut items, &mut consumed),
         };
         if consumed > 0 {
-            self.read_buf.drain(..consumed);
+            self.read_pos += consumed;
+            if self.read_pos == self.read_buf.len() {
+                self.read_buf.clear();
+                self.read_pos = 0;
+            }
             self.last_activity = now;
         }
         // a leftover partial frame starts (or keeps) the read-deadline
@@ -380,8 +405,8 @@ impl Conn {
         items: &mut Vec<Inbound>,
         consumed: &mut usize,
     ) -> Result<(), CloseReason> {
-        loop {
-            match wire2::parse_frame(&self.read_buf[*consumed..]) {
+        while items.len() < PARSE_BATCH {
+            match wire2::parse_frame(&self.read_buf[self.read_pos + *consumed..]) {
                 Ok(None) => return Ok(()),
                 Ok(Some((frame, used))) => {
                     *consumed += used;
@@ -401,6 +426,7 @@ impl Conn {
                 }
             }
         }
+        Ok(())
     }
 
     fn parse_json(
@@ -408,8 +434,8 @@ impl Conn {
         items: &mut Vec<Inbound>,
         consumed: &mut usize,
     ) -> Result<(), CloseReason> {
-        loop {
-            let buf = &self.read_buf[*consumed..];
+        while items.len() < PARSE_BATCH {
+            let buf = &self.read_buf[self.read_pos + *consumed..];
             if buf.len() < 4 {
                 return Ok(());
             }
@@ -450,6 +476,7 @@ impl Conn {
                 }),
             }
         }
+        Ok(())
     }
 
     /// Encodes `response` for the request addressed by `corr` and queues
@@ -654,6 +681,32 @@ mod tests {
             items.as_slice(),
             [Inbound::Malformed { corr: Corr::Json { seq: 0, .. }, .. }]
         ));
+    }
+
+    #[test]
+    fn a_peer_that_never_stops_writing_is_read_in_bounded_batches() {
+        let (mut conn, mut peer) = test_conn();
+        let writer = std::thread::spawn(move || {
+            use std::io::Write as _;
+            let burst: Vec<u8> =
+                (0..4096).flat_map(|i| wire2::encode_frame(wire2::opcode::PING, i, b"")).collect();
+            // pipelined pings until the connection goes away
+            while peer.write_all(&burst).is_ok() {}
+        });
+        // one batch per read: the buffer fills to the cap and stays there
+        let deadline = Instant::now() + std::time::Duration::from_secs(60);
+        let mut full_reads = 0;
+        while full_reads < 3 {
+            assert!(Instant::now() < deadline, "buffer never filled: {}", conn.read_buf.len());
+            let items = conn.on_readable(Instant::now()).unwrap();
+            assert!(items.len() <= PARSE_BATCH, "{} frames in one batch", items.len());
+            assert!(conn.read_buf.len() <= READ_LIMIT, "{} bytes buffered", conn.read_buf.len());
+            if conn.read_buf.len() == READ_LIMIT {
+                full_reads += 1;
+            }
+        }
+        drop(conn);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   published [`PublicModel`](ppuf_core::public_model::PublicModel)s,
 //!   with live registration and revocation;
 //! - a per-device [`ChallengeIssuer`](ppuf_core::protocol::issuer) minting
-//!   nonce-bound, deadline-stamped challenges and rejecting replays and
-//!   expired sessions;
+//!   fresh nonce-bound, deadline-stamped challenges and rejecting replays
+//!   and expired sessions;
 //! - a sharded [`VerificationCache`] so a
 //!   repeated (device, challenge, answer) triple skips the residual-BFS
 //!   optimality passes;

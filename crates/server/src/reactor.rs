@@ -73,9 +73,10 @@ pub struct AsyncConfig {
     pub dispatch_queue: usize,
     /// Per-connection cap on buffered, unsent response bytes: a peer
     /// that keeps pipelining requests without reading responses is
-    /// closed once its backlog passes this. Soft — checked between
-    /// frames, so one frame may overshoot. Keep it ≥ the largest single
-    /// response (a frame is at most [`crate::wire::MAX_FRAME_LEN`]).
+    /// closed once its backlog passes this. Soft — checked after each
+    /// completion and between batches of parsed frames, so one batch may
+    /// overshoot. Keep it ≥ the largest single response (a frame is at
+    /// most [`crate::wire::MAX_FRAME_LEN`]).
     pub max_write_buf: usize,
     /// Poll timeout and timeout-sweep cadence.
     pub sweep_interval: Duration,
@@ -459,20 +460,31 @@ impl Reactor {
         }
         if readable {
             let t0 = Instant::now();
-            let parsed = conn.on_readable(now);
+            let mut parsed = conn.on_readable(now);
             self.phases.parse += t0.elapsed();
-            match parsed {
-                Ok(items) => {
-                    let t0 = Instant::now();
-                    for item in items {
-                        self.handle_inbound(slot, item);
+            // batch by batch until no complete frame is left, settling
+            // after each so a peer that never reads is cut off early
+            loop {
+                let items = match parsed {
+                    Ok(items) if items.is_empty() => break,
+                    Ok(items) => items,
+                    Err(reason) => {
+                        self.close(slot, reason, now);
+                        return;
                     }
-                    self.phases.dispatch += t0.elapsed();
+                };
+                let t0 = Instant::now();
+                for item in items {
+                    self.handle_inbound(slot, item);
                 }
-                Err(reason) => {
-                    self.close(slot, reason, now);
-                    return;
-                }
+                self.phases.dispatch += t0.elapsed();
+                let t0 = Instant::now();
+                self.flush_within_cap(slot, now);
+                self.phases.write += t0.elapsed();
+                let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
+                let t0 = Instant::now();
+                parsed = conn.parse(now);
+                self.phases.parse += t0.elapsed();
             }
         }
         self.flush_and_settle(slot, now);
@@ -534,21 +546,10 @@ impl Reactor {
     }
 
     fn flush_and_settle_inner(&mut self, slot: usize, now: Instant) {
-        let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
-        if conn.wants_write() {
-            if let Err(reason) = conn.on_writable(now) {
-                self.close(slot, reason, now);
-                return;
-            }
-        }
+        self.flush_within_cap(slot, now);
         let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
         if conn.drained() {
             self.close(slot, CloseReason::Eof, now);
-            return;
-        }
-        if conn.backlog() > self.config.max_write_buf {
-            self.stats.conn_reaped();
-            self.close(slot, CloseReason::Backpressure, now);
             return;
         }
         let want = conn.wants_write();
@@ -560,6 +561,21 @@ impl Reactor {
                 self.reg_write[slot] = want;
             }
         }
+    }
+
+    /// Pushes buffered bytes, then closes the connection if a write failed
+    /// or its unread-response backlog passed the cap.
+    fn flush_within_cap(&mut self, slot: usize, now: Instant) {
+        let Some(Some(conn)) = self.conns.get_mut(slot) else { return };
+        let reason = match conn.on_writable(now) {
+            Err(reason) => reason,
+            Ok(()) if conn.backlog() > self.config.max_write_buf => {
+                self.stats.conn_reaped();
+                CloseReason::Backpressure
+            }
+            Ok(()) => return,
+        };
+        self.close(slot, reason, now);
     }
 
     /// Reaps slow-loris frames past the read deadline and idle

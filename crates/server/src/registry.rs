@@ -12,18 +12,17 @@ use std::sync::{Arc, RwLock};
 
 use ppuf_core::protocol::auth::Verifier;
 use ppuf_core::protocol::issuer::ChallengeIssuer;
-use ppuf_core::public_model::PublicModel;
 
 /// Everything the service keeps per registered device.
 #[derive(Debug)]
 pub struct DeviceEntry {
     /// Registry key.
     pub device_id: String,
-    /// The published model, exactly as registered.
-    pub model: PublicModel,
-    /// Verifier over the model. Configured *without* a deadline: it
-    /// produces timeless verdicts (so they can be cached) and the service
-    /// applies the deadline to the measured session time itself.
+    /// Verifier over the published model, exactly as registered (the
+    /// entry's only copy of it, at [`Verifier::model`]). Configured
+    /// *without* a deadline: it produces timeless verdicts (so they can
+    /// be cached) and the service applies the deadline to the measured
+    /// session time itself.
     pub verifier: Verifier,
     /// Challenge minting and replay/expiry policing for this device.
     pub issuer: ChallengeIssuer,
@@ -102,7 +101,6 @@ mod tests {
         let space = ChallengeSpace::new(model.nodes(), model.grid().grid()).unwrap();
         DeviceEntry {
             device_id: device_id.to_string(),
-            model: model.clone(),
             verifier: Verifier::new(model),
             issuer: ChallengeIssuer::new(space, 1),
         }

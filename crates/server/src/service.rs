@@ -24,6 +24,7 @@ use ppuf_core::protocol::auth::{ProverAnswer, VerificationReport, Verifier, VERI
 use ppuf_core::protocol::clock::{Clock, SystemClock};
 use ppuf_core::protocol::issuer::{ChallengeIssuer, RedeemError, DEFAULT_SESSION_TTL};
 use ppuf_core::public_model::PublicModel;
+use ppuf_core::PpufError;
 use ppuf_telemetry::{
     next_trace_id, prometheus, record_interval, FlightRecorder, MemoryRecorder, Profiler, Recorder,
     Report, SpanContext, TraceId, TracedSpan, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES,
@@ -46,10 +47,6 @@ pub struct ServiceConfig {
     pub session_ttl: Seconds,
     /// Absolute current tolerance for the flow checks.
     pub tolerance: f64,
-    /// Per-device rotating challenge pool size; 0 mints a fresh random
-    /// challenge per session (which makes the verification cache useless,
-    /// since honest answers then never repeat).
-    pub challenge_pool: usize,
     /// Seed for per-device challenge sampling and nonce salting.
     pub seed: u64,
     /// Flight-recorder trace ring capacity; 0 disables the recorder.
@@ -72,7 +69,6 @@ impl Default for ServiceConfig {
             deadline: None,
             session_ttl: DEFAULT_SESSION_TTL,
             tolerance: VERIFY_TOLERANCE,
-            challenge_pool: 0,
             seed: 0,
             flightrec_traces: DEFAULT_FLIGHT_TRACES,
             flightrec_dir: None,
@@ -455,15 +451,12 @@ impl VerificationService {
         if let Some(deadline) = self.config.deadline {
             issuer = issuer.with_deadline(deadline);
         }
-        if self.config.challenge_pool > 0 {
-            issuer = issuer.with_challenge_pool(self.config.challenge_pool);
-        }
-        let verifier = Verifier::new(model.clone())
+        let verifier = Verifier::new(model)
             .with_threads(self.config.verify_threads)
             .with_tolerance(self.config.tolerance);
         // a re-registration may change the model: stale verdicts must go
         self.cache.invalidate_device(&device_id);
-        self.registry.insert(DeviceEntry { device_id: device_id.clone(), model, verifier, issuer });
+        self.registry.insert(DeviceEntry { device_id: device_id.clone(), verifier, issuer });
         self.recorder.counter_add("server.devices.registered", 1);
         Response::Registered { device_id }
     }
@@ -516,7 +509,11 @@ impl VerificationService {
         // the client never gets to choose it
         let (mut report, cached) = match self.verify(&entry, &session.challenge, &answer, trace) {
             Ok(verified) => verified,
-            Err(message) => return Response::error(ErrorKind::Internal, message),
+            // the challenge and the model passed the service's own checks,
+            // so an answer the verifier cannot even read is the client's
+            Err(e) => {
+                return Response::error(ErrorKind::Malformed, format!("unusable answer: {e}"));
+            }
         };
         let within_deadline = match self.config.deadline {
             Some(deadline) => session.elapsed.value() <= deadline.value(),
@@ -546,13 +543,18 @@ impl VerificationService {
     /// verified before — a hit skips both residual-BFS passes. Returns a
     /// timeless report (its `within_deadline` is always `true`; the
     /// caller applies the deadline) and whether it came from the cache.
+    ///
+    /// # Errors
+    ///
+    /// Returns the verifier's error when the answer does not fit the
+    /// model (e.g. a flow with the wrong number of edges).
     fn verify(
         &self,
         entry: &DeviceEntry,
         challenge: &Challenge,
         answer: &ProverAnswer,
         trace: Option<SpanContext>,
-    ) -> Result<(VerificationReport, bool), String> {
+    ) -> Result<(VerificationReport, bool), PpufError> {
         let recorder = self.recorder.as_ref();
         let mut span = TracedSpan::child_of(recorder, "server.verify", trace);
         let (cached, challenge_fp, answer_fp) = {
@@ -568,17 +570,10 @@ impl VerificationService {
         }
         recorder.counter_add("server.cache.misses", 1);
         span.attr("cached", false);
-        match entry.verifier.verify(challenge, answer) {
-            Ok(report) => {
-                let evicted = self.cache.insert(&entry.device_id, challenge_fp, answer_fp, report);
-                recorder.counter_add("server.cache.evictions", evicted as u64);
-                Ok((report, false))
-            }
-            Err(e) => {
-                recorder.warn(&format!("verification failed for {}: {e}", entry.device_id));
-                Err(e.to_string())
-            }
-        }
+        let report = entry.verifier.verify(challenge, answer)?;
+        let evicted = self.cache.insert(&entry.device_id, challenge_fp, answer_fp, report);
+        recorder.counter_add("server.cache.evictions", evicted as u64);
+        Ok((report, false))
     }
 
     fn unknown_device(&self, device_id: &str) -> Response {
@@ -771,24 +766,28 @@ mod tests {
     }
 
     #[test]
-    fn pooled_challenges_hit_the_cache_across_sessions() {
+    fn unreadable_answer_is_malformed_not_internal() {
         let clock = Arc::new(ManualClock::new());
-        let config = ServiceConfig { challenge_pool: 1, ..ServiceConfig::default() };
-        let (service, ppuf) = service_with_device(config, Arc::clone(&clock));
-        let executor = ppuf.executor(Environment::NOMINAL);
-        for round in 0..3 {
-            let (nonce, challenge) = get_challenge(&service);
-            let answer = prove(&executor, &challenge).unwrap();
-            match service.handle(Request::SubmitAnswer { device_id: "dev".into(), nonce, answer }) {
-                Response::Verdict { accepted, cached, .. } => {
-                    assert!(accepted);
-                    assert_eq!(cached, round > 0, "round {round}");
-                }
-                other => panic!("expected verdict, got {other:?}"),
+        let (service, _ppuf) = service_with_device(ServiceConfig::default(), Arc::clone(&clock));
+        let (nonce, challenge) = get_challenge(&service);
+        // three edge flows for a network with dozens of edges
+        let short = ppuf_maxflow::Flow::from_edge_flows(
+            challenge.source,
+            challenge.sink,
+            0.0,
+            vec![0.0; 3],
+        );
+        let answer = ProverAnswer { response: true, flow_a: short.clone(), flow_b: short };
+        match service.handle(Request::SubmitAnswer { device_id: "dev".into(), nonce, answer }) {
+            Response::Error { kind, message, .. } => {
+                assert_eq!(kind, ErrorKind::Malformed, "{message}");
+                assert!(message.contains("3 edges"), "{message}");
             }
+            other => panic!("expected a malformed-answer error, got {other:?}"),
         }
-        assert_eq!(service.recorder().counter("server.cache.hits"), 2);
-        assert_eq!(service.recorder().counter("server.cache.misses"), 1);
+        assert!(service.recorder().warnings().is_empty(), "{:?}", service.recorder().warnings());
+        let now = clock.now().value();
+        assert_eq!(service.health().window_totals(now).internal_errors, 0);
     }
 
     #[test]
@@ -866,9 +865,8 @@ mod tests {
     #[test]
     fn health_reports_ok_on_honest_traffic() {
         let clock = Arc::new(ManualClock::new());
-        let config = ServiceConfig { challenge_pool: 1, ..ServiceConfig::default() };
         let min = SloConfig::default().min_requests as usize;
-        let (service, ppuf) = service_with_device(config, Arc::clone(&clock));
+        let (service, ppuf) = service_with_device(ServiceConfig::default(), Arc::clone(&clock));
         let executor = ppuf.executor(Environment::NOMINAL);
         // each round is two observed requests (challenge + answer)
         for _ in 0..min.div_ceil(2) {
@@ -923,7 +921,6 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let dir = temp_dump_dir("burst");
         let config = ServiceConfig {
-            challenge_pool: 0,
             flightrec_dir: Some(dir.clone()),
             failure_burst_threshold: 4,
             ..ServiceConfig::default()
@@ -959,11 +956,7 @@ mod tests {
     fn admin_dump_snapshots_the_flight_recorder() {
         let clock = Arc::new(ManualClock::new());
         let dir = temp_dump_dir("admin");
-        let config = ServiceConfig {
-            challenge_pool: 1,
-            flightrec_dir: Some(dir.clone()),
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig { flightrec_dir: Some(dir.clone()), ..ServiceConfig::default() };
         let (service, ppuf) = service_with_device(config, Arc::clone(&clock));
         let (nonce, challenge) = get_challenge(&service);
         let answer = prove(&ppuf.executor(Environment::NOMINAL), &challenge).unwrap();
@@ -1037,7 +1030,6 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let dir = temp_dump_dir("rotate");
         let config = ServiceConfig {
-            challenge_pool: 1,
             flightrec_dir: Some(dir.clone()),
             flightrec_keep: 2,
             ..ServiceConfig::default()

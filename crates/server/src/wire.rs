@@ -198,7 +198,8 @@ pub enum StatsFormat {
 pub enum ErrorKind {
     /// The device id is not registered (or was revoked).
     UnknownDevice,
-    /// The nonce was never issued or was already redeemed.
+    /// The nonce was never issued or was already redeemed — or its
+    /// session expired a TTL ago or more and the issuer swept it out.
     ReplayOrUnknownNonce,
     /// The session outlived its time-to-live before the answer arrived.
     SessionExpired,

@@ -27,7 +27,6 @@ const SEED: u64 = 23;
 fn service(seed: u64) -> Arc<VerificationService> {
     Arc::new(VerificationService::new(ServiceConfig {
         deadline: Some(Seconds(5.0)),
-        challenge_pool: 2,
         seed,
         ..ServiceConfig::default()
     }))
@@ -379,6 +378,50 @@ fn inconsistent_register_models_are_refused_and_serving_continues() {
     assert!(matches!(response, Response::Verdict { accepted: true, .. }), "{response:?}");
 }
 
+/// An answer naming a flow source a million nodes out of range gets a
+/// verdict instead of killing the one dispatch thread, and an honest
+/// round after it is still accepted.
+#[test]
+fn out_of_range_flow_terminal_gets_a_verdict_and_serving_continues() {
+    let server = bind_async(AsyncConfig { dispatch_threads: 1, ..AsyncConfig::default() });
+    let ppuf = register_device(server.local_addr());
+    let executor = ppuf.executor(Environment::NOMINAL);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let mut exchange = |request: &Request| {
+        ppuf_server::wire::send_message(&mut stream, request).expect("send");
+        ppuf_server::wire::recv_message::<_, Response>(&mut stream)
+            .expect("the server answered in time")
+            .expect("the server answered")
+    };
+    let mut round = |hostile: bool| {
+        let Response::Challenge { nonce, challenge, .. } =
+            exchange(&Request::GetChallenge { device_id: "dev".into() })
+        else {
+            panic!("expected a challenge");
+        };
+        let mut answer = prove(&executor, &challenge).expect("prove");
+        if hostile {
+            let flow = &answer.flow_a;
+            answer.flow_a = Flow::from_edge_flows(
+                NodeId::new(1_000_000),
+                flow.sink(),
+                flow.value(),
+                flow.edge_flows().to_vec(),
+            );
+        }
+        exchange(&Request::SubmitAnswer { device_id: "dev".into(), nonce, answer })
+    };
+    match round(true) {
+        Response::Verdict { accepted: false, report, .. } => {
+            assert!(!report.network_a.feasible && !report.network_a.maximal, "{report:?}");
+        }
+        other => panic!("expected a rejecting verdict, got {other:?}"),
+    }
+    let response = round(false);
+    assert!(matches!(response, Response::Verdict { accepted: true, .. }), "{response:?}");
+}
+
 /// A half-written frame trips the read deadline: the slow-loris is
 /// reaped and the open-connections gauge decrements.
 #[test]
@@ -435,6 +478,9 @@ fn write_backlog_past_the_cap_closes_the_connection() {
     });
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    // a write blocked this long fails and ends the loop, so the test
+    // cannot hang inside `write_all`
+    stream.set_write_timeout(Some(Duration::from_secs(1))).expect("timeout");
     // never read: pipeline pings until the unread responses fill the
     // kernel buffers, trip the cap, and the server closes on us (seen as
     // a write error once the reset lands)

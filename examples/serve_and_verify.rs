@@ -22,11 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = ppuf.public_model()?;
     let executor = ppuf.executor(Environment::NOMINAL);
 
-    // the verifier stands up a service — a rotating challenge pool (so
-    // repeated answers can hit the verification cache) and a 0.5 s
-    // response deadline — behind the epoll front-end
+    // the verifier stands up a service with a 0.5 s response deadline
+    // behind the epoll front-end; every challenge it issues is fresh
     let service = Arc::new(VerificationService::new(ServiceConfig {
-        challenge_pool: 4,
         deadline: Some(Seconds(0.5)),
         ..ServiceConfig::default()
     }));
@@ -55,16 +53,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let answer = prove(&executor, &challenge)?;
-    let Response::Verdict { accepted, cached, elapsed_s, .. } =
-        client.request(&Request::SubmitAnswer {
-            device_id: "chip-1".into(),
-            nonce,
-            answer: answer.clone(),
-        })?
+    let Response::Verdict { accepted, elapsed_s, .. } = client.request(&Request::SubmitAnswer {
+        device_id: "chip-1".into(),
+        nonce,
+        answer: answer.clone(),
+    })?
     else {
         panic!("expected a verdict");
     };
-    println!("verdict: accepted = {accepted} (cached = {cached}, answered in {elapsed_s:.4} s)");
+    println!("verdict: accepted = {accepted} (answered in {elapsed_s:.4} s)");
     assert!(accepted);
 
     // --- replaying the spent nonce is refused ------------------------
@@ -94,10 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "\nserver counters: {} requests, {} cache hits / {} misses",
+        "\nserver counters: {} requests, {} answers accepted",
         service.recorder().counter("server.requests"),
-        service.recorder().counter("server.cache.hits"),
-        service.recorder().counter("server.cache.misses"),
+        service.recorder().counter("server.answers.accepted"),
     );
     server.shutdown();
     Ok(())
