@@ -8,6 +8,8 @@ pub mod engine;
 pub mod linear;
 pub mod sparse;
 pub mod tabulated;
+#[cfg(test)]
+pub(crate) mod test_circuits;
 pub mod transient;
 pub mod workspace;
 

@@ -18,7 +18,7 @@
 use ppuf_telemetry::{Recorder, Span, NOOP};
 
 use crate::block::TwoTerminal;
-use crate::solver::dc::{worst_node_of, Circuit, DcOptions, NewtonWork, SolveError};
+use crate::solver::dc::{max_abs, worst_node_of, Circuit, DcOptions, NewtonWork, SolveError};
 use crate::solver::workspace::{DcWorkspace, LinearBackend};
 use crate::units::{Amps, Celsius, Farads, Seconds, Volts};
 
@@ -313,7 +313,8 @@ fn backward_euler_step<E: TwoTerminal + Sync>(
     be_residual(circuit, s, voltages, temp);
     let mut norm = max_abs(&s.ws.residual);
     // implicit-step tolerance: scaled to the capacitive currents involved
-    let tol = 1e-16_f64.max(norm * 1e-9);
+    // (a non-finite start has no scale, so it gets the floor)
+    let tol = if norm.is_finite() { 1e-16_f64.max(norm * 1e-9) } else { 1e-16 };
     for _ in 0..100 {
         if norm <= tol {
             return Ok(());
@@ -331,17 +332,22 @@ fn backward_euler_step<E: TwoTerminal + Sync>(
         let mut alpha = 1.0;
         let mut improved = false;
         for _ in 0..20 {
+            let mut finite = true;
             for idx in 0..k {
                 let node = s.ws.unknowns[idx];
-                voltages[node] =
-                    Volts((s.ws.base[node].value() + alpha * s.ws.delta[idx]).clamp(-1.0, 5.0));
+                let v = s.ws.base[node].value() + alpha * s.ws.delta[idx];
+                finite &= v.is_finite();
+                voltages[node] = Volts(v.clamp(-1.0, 5.0));
             }
-            be_residual(circuit, s, voltages, temp);
-            let new_norm = max_abs(&s.ws.residual);
-            if new_norm < norm || new_norm <= tol {
-                norm = new_norm;
-                improved = true;
-                break;
+            // a non-finite trial is rejected unevaluated, as in the DC loop
+            if finite {
+                be_residual(circuit, s, voltages, temp);
+                let new_norm = max_abs(&s.ws.residual);
+                if new_norm < norm || new_norm <= tol {
+                    norm = new_norm;
+                    improved = true;
+                    break;
+                }
             }
             alpha *= 0.5;
             work.backtracks += 1;
@@ -385,44 +391,15 @@ fn source_current<E: TwoTerminal>(
     Amps(total)
 }
 
-fn max_abs(xs: &[f64]) -> f64 {
-    xs.iter().fold(0.0, |m, &x| m.max(x.abs()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::resistor::Resistor;
-    use crate::units::Ohms;
-
-    /// Directed resistor used to make RC behaviour analytically checkable.
-    #[derive(Debug, Clone, Copy)]
-    struct DirectedResistor(Resistor);
-
-    impl TwoTerminal for DirectedResistor {
-        fn current(&self, dv: Volts, _temp: Celsius) -> Amps {
-            if dv.value() <= 0.0 {
-                Amps(0.0)
-            } else {
-                self.0.current(dv)
-            }
-        }
-        fn conductance(&self, dv: Volts, _temp: Celsius) -> f64 {
-            if dv.value() <= 0.0 {
-                0.0
-            } else {
-                self.0.conductance()
-            }
-        }
-    }
+    use crate::solver::test_circuits::{divider, lopsided_divider, DirectedResistor, NanAbove};
 
     fn rc_chain() -> (Circuit<DirectedResistor>, Vec<Farads>) {
         // s -R- v -R- t, C at v: classic RC settling
-        let mut c = Circuit::new(3);
-        c.add_element(0, 1, DirectedResistor(Resistor::new(Ohms(1e6)))).unwrap();
-        c.add_element(1, 2, DirectedResistor(Resistor::new(Ohms(1e6)))).unwrap();
         let caps = vec![Farads(0.0), Farads(1e-12), Farads(0.0)];
-        (c, caps)
+        (divider(1e6, 1e6), caps)
     }
 
     #[test]
@@ -482,7 +459,9 @@ mod tests {
     #[test]
     fn traced_run_counts_steps_and_settle_time() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let (c, caps) = rc_chain();
+        let (_, caps) = rc_chain();
+        // 1 MΩ + 3 MΩ, so the up-front DC solve cannot start at its answer
+        let c = lopsided_divider();
         let result = simulate_step_response_traced(
             &c,
             0,
@@ -503,6 +482,51 @@ mod tests {
         assert_eq!(recorder.span_stats("analog.transient.simulate").unwrap().count, 1);
         // the up-front DC solve reports through the same recorder
         assert!(recorder.counter("analog.dc.newton_iterations") >= 1);
+    }
+
+    #[test]
+    fn nan_element_current_never_enters_the_trajectory() {
+        // s→a, a→t (NaN above 0.9 V) and a→b→t settle at a = 0.8 V; a
+        // 0.1 µs step's Newton trials overshoot a past 0.9 V on the way
+        let mut c = Circuit::new(4);
+        c.add_element(0, 1, NanAbove(f64::INFINITY)).unwrap();
+        c.add_element(1, 3, NanAbove(0.9)).unwrap();
+        c.add_element(1, 2, NanAbove(f64::INFINITY)).unwrap();
+        c.add_element(2, 3, NanAbove(f64::INFINITY)).unwrap();
+        let caps = vec![Farads(0.0), Farads(1e-13), Farads(1e-13), Farads(0.0)];
+        let opts = TransientOptions { step: Seconds(1e-7), ..Default::default() };
+        let result = simulate_step_response(&c, 0, 3, Volts(2.0), &caps, &opts).unwrap();
+        assert!(result.voltages.iter().all(|v| v.value().is_finite()), "{:?}", result.voltages);
+        assert!(result.trajectory.iter().all(|(_, i)| i.value().is_finite()));
+        assert!((result.voltages[1].value() - 0.8).abs() < 1e-3, "{:?}", result.voltages);
+
+        // s→a→t beside s→t (NaN above 1.5 V): every step pins s→t at the
+        // 2 V its DC point sees, so the run fails there, before any step
+        let mut c = Circuit::new(3);
+        c.add_element(0, 1, NanAbove(f64::INFINITY)).unwrap();
+        c.add_element(1, 2, NanAbove(f64::INFINITY)).unwrap();
+        c.add_element(0, 2, NanAbove(1.5)).unwrap();
+        let caps = vec![Farads(0.0), Farads(1e-13), Farads(0.0)];
+        let recorder = ppuf_telemetry::MemoryRecorder::new();
+        let err = simulate_step_response_traced(&c, 0, 2, Volts(2.0), &caps, &opts, &recorder)
+            .unwrap_err();
+        assert!(matches!(err, SolveError::NoConvergence { worst_node: 0, .. }), "{err:?}");
+        assert_eq!(recorder.counter("analog.dc.nonconvergence"), 1);
+        assert_eq!(recorder.counter("analog.transient.steps_accepted"), 0);
+    }
+
+    #[test]
+    fn nan_element_current_at_the_step_start_is_an_error() {
+        // the DC point a = 1 V is finite, but at t = 0 (a = 0 V) the
+        // first element sees 2 V and its current is NaN: no step can
+        // start from there, so the run fails instead of tracing NaN
+        let mut c = Circuit::new(3);
+        c.add_element(0, 1, NanAbove(1.5)).unwrap();
+        c.add_element(1, 2, NanAbove(f64::INFINITY)).unwrap();
+        let caps = vec![Farads(0.0), Farads(1e-13), Farads(0.0)];
+        let err = simulate_step_response(&c, 0, 2, Volts(2.0), &caps, &TransientOptions::default())
+            .unwrap_err();
+        assert!(matches!(err, SolveError::NoConvergence { .. }), "{err:?}");
     }
 
     #[test]

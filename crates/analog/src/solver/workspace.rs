@@ -598,33 +598,12 @@ impl DcWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::resistor::Resistor;
-    use crate::units::{Amps, Ohms};
+    use crate::solver::test_circuits::DirectedResistor;
 
-    #[derive(Debug, Clone, Copy)]
-    struct Res(Resistor);
-
-    impl TwoTerminal for Res {
-        fn current(&self, dv: Volts, _temp: Celsius) -> Amps {
-            if dv.value() <= 0.0 {
-                Amps(0.0)
-            } else {
-                self.0.current(dv)
-            }
-        }
-        fn conductance(&self, dv: Volts, _temp: Celsius) -> f64 {
-            if dv.value() <= 0.0 {
-                0.0
-            } else {
-                self.0.conductance()
-            }
-        }
-    }
-
-    fn diamond() -> Circuit<Res> {
+    fn diamond() -> Circuit<DirectedResistor> {
         let mut c = Circuit::new(4);
         for (u, v) in [(0u32, 1u32), (0, 2), (1, 2), (1, 3), (2, 3)] {
-            c.add_element(u, v, Res(Resistor::new(Ohms(1e6)))).unwrap();
+            c.add_element(u, v, DirectedResistor::new(1e6)).unwrap();
         }
         c
     }

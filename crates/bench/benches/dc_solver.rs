@@ -1,5 +1,5 @@
 //! Criterion bench: DC-solver ablations — tabulated vs exact block
-//! curves, and source-stepping continuation depth (DESIGN.md §4.1).
+//! curves, and the cost of building the tables (DESIGN.md §4.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -80,35 +80,6 @@ fn bench_element_representation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_continuation_depth(c: &mut Criterion) {
-    let n = 10;
-    let parts = blocks(n, 5);
-    let mut circuit = Circuit::new(n);
-    for (u, v, blk) in &parts {
-        circuit
-            .add_element(
-                *u,
-                *v,
-                TabulatedElement::from_block(blk, Volts(2.5), 1024, Celsius::NOMINAL),
-            )
-            .expect("valid");
-    }
-    let mut group = c.benchmark_group("dc_continuation_depth");
-    group.sample_size(10);
-    for steps in [1usize, 2, 4, 8] {
-        let options = DcOptions { continuation_steps: steps, ..DcOptions::default() };
-        group.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, _| {
-            b.iter(|| {
-                circuit
-                    .solve_dc(0, n as u32 - 1, Volts(2.0), &options)
-                    .expect("converges")
-                    .source_current
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_table_construction(c: &mut Criterion) {
     let block = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
     let mut group = c.benchmark_group("table_construction");
@@ -120,10 +91,5 @@ fn bench_table_construction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_element_representation,
-    bench_continuation_depth,
-    bench_table_construction
-);
+criterion_group!(benches, bench_element_representation, bench_table_construction);
 criterion_main!(benches);

@@ -9,10 +9,11 @@
 //! `--backend dense|sparse|auto` flag forces the linear backend for the
 //! crossbar scaling matrix (default: auto). The `--smoke` mode solves one
 //! n = 200 cold operating point, writes `results/bench/engine-smoke.json`,
-//! and exits non-zero if the solve regressed more than 2× against the
-//! committed `results/bench/engine-smoke-baseline.json` — the CI perf
-//! gate — or if the profiler's device-eval self-time share drifted out
-//! of the baseline's band. `--profile` (implies `--smoke`) additionally
+//! and exits non-zero if the solve regressed more than 2× or took more
+//! than 2 Newton iterations beyond the committed
+//! `results/bench/engine-smoke-baseline.json` — the CI perf gate — or
+//! if the profiler's device-eval self-time share drifted out of the
+//! baseline's band. `--profile` (implies `--smoke`) additionally
 //! writes flamegraph-ready folded stacks to
 //! `results/profiles/engine-smoke.folded` plus the same measurement as a
 //! schema-versioned telemetry report with its `profile` section.
@@ -45,8 +46,11 @@ struct SizeRow {
     engines: Vec<EngineRow>,
 }
 
-/// One size's measurement: legacy cold ladder as the baseline, then the
-/// warm-started engine at each thread count.
+/// One size's measurement: a cold [`Circuit::solve_dc`] (fresh workspace,
+/// no engine) as the baseline, then the warm-started engine at each
+/// thread count.
+///
+/// [`Circuit::solve_dc`]: ppuf_analog::solver::Circuit::solve_dc
 fn measure_size(
     n: usize,
     threads_list: &[usize],

@@ -12,7 +12,8 @@
 //!
 //! The run exits non-zero if any gate fails:
 //!
-//! - the engine cold solve regressed more than 2× against the committed
+//! - the engine cold solve regressed more than 2× or took more than 2
+//!   Newton iterations beyond the committed
 //!   `results/bench/engine-smoke-baseline.json`, or the profiler's
 //!   device-eval self-time share drifted out of that baseline's band;
 //! - either load-generator profile run through `run_loadgen` violates a

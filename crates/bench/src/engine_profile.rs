@@ -34,6 +34,12 @@ pub const SUPPLY: Volts = Volts(2.0);
 /// Allowed cold-solve slowdown over the committed smoke baseline.
 pub const SMOKE_REGRESSION_FACTOR: f64 = 2.0;
 
+/// Newton iterations the crossbar's cold solve may take beyond the
+/// committed baseline's count. One build always takes the same count, so
+/// unlike the time gate this one sees no host noise; the slack covers
+/// `libm` differences between hosts.
+pub const SMOKE_ITERATION_SLACK: u64 = 2;
+
 /// Allowed absolute drift of the measured device-eval self-time share
 /// against the committed baseline's share. The share is a ratio of two
 /// times from the same run, so it is far more machine-stable than the
@@ -447,15 +453,20 @@ pub fn extract_number(text: &str, key: &str) -> Option<f64> {
 }
 
 /// Gates `smoke` against the committed baseline at `baseline_path`:
-/// `Ok(Some(baseline_seconds))` when within
-/// [`SMOKE_REGRESSION_FACTOR`]×, `Ok(None)` when no baseline exists yet
-/// (the gate is unarmed), `Err` with a human-readable message on a
-/// regression.
+/// `Ok(Some(baseline_seconds))` when the cold solve is within
+/// [`SMOKE_REGRESSION_FACTOR`]× the baseline's time and within
+/// [`SMOKE_ITERATION_SLACK`] of its crossbar Newton iterations,
+/// `Ok(None)` when no baseline exists yet (the gate is unarmed), `Err`
+/// with a human-readable message on a regression. The iteration gate
+/// arms only when both sides carry a crossbar `solver` shape; the
+/// baseline's count is the first `newton_iterations` in its text, which
+/// [`EngineSmoke::to_json`] writes before the grid's.
 ///
 /// # Errors
 ///
 /// Returns the regression description when the cold solve exceeds the
-/// allowed factor over the baseline.
+/// allowed factor over the baseline's time or the allowed slack over its
+/// iterations.
 pub fn check_smoke_baseline(
     smoke: &EngineSmoke,
     baseline_path: &str,
@@ -471,6 +482,17 @@ pub fn check_smoke_baseline(
             "cold solve {:.3}s exceeds {SMOKE_REGRESSION_FACTOR}x baseline {baseline:.3}s",
             smoke.cold_seconds
         ));
+    }
+    if let (Some(solver), Some(base_iterations)) =
+        (&smoke.solver, extract_number(&text, "newton_iterations"))
+    {
+        if solver.newton_iterations as f64 > base_iterations + SMOKE_ITERATION_SLACK as f64 {
+            return Err(format!(
+                "cold solve took {} Newton iterations, more than baseline {base_iterations} \
+                 + {SMOKE_ITERATION_SLACK}",
+                solver.newton_iterations
+            ));
+        }
     }
     Ok(Some(baseline))
 }
@@ -541,6 +563,53 @@ mod tests {
         let slow = EngineSmoke { cold_seconds: 25.0, ..baseline };
         assert!(check_smoke_baseline(&slow, &path).is_err());
         assert_eq!(check_smoke_baseline(&fast, "/no/such/baseline.json"), Ok(None));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn iteration_gate_allows_the_slack_and_fails_beyond() {
+        let dir = std::env::temp_dir().join(format!("ppuf-iterations-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let shape = |newton_iterations: u64| SolverShape {
+            backend: "dense".to_string(),
+            newton_iterations,
+            jacobian_factorizations: newton_iterations,
+            jacobian_nnz: 0,
+            lu_nnz: 0,
+            fill_ratio: 1.0,
+            symbolic_reuse_hits: 0,
+            full_factorizations: newton_iterations,
+        };
+        // the grid's larger count comes later in the text and is not read
+        let smoke = |iterations: u64| EngineSmoke {
+            nodes: 200,
+            cold_seconds: 10.0,
+            source_current_amps: 1e-3,
+            solver: Some(shape(iterations)),
+            sparse_grid: Some(GridSmoke {
+                side: 16,
+                nodes: 256,
+                cold_seconds: 0.01,
+                warm_mean_seconds: 0.001,
+                source_current_amps: 2e-8,
+                solver: shape(40),
+            }),
+            profile: None,
+        };
+        std::fs::write(&path, smoke(7).to_json()).unwrap();
+        let path = path.to_string_lossy().into_owned();
+
+        assert_eq!(check_smoke_baseline(&smoke(7), &path), Ok(Some(10.0)));
+        assert_eq!(check_smoke_baseline(&smoke(9), &path), Ok(Some(10.0)));
+        let err = check_smoke_baseline(&smoke(10), &path).unwrap_err();
+        assert!(err.contains("10 Newton iterations"), "{err}");
+        assert!(check_smoke_baseline(&smoke(21), &path).is_err());
+        // unarmed: no shape on the measurement, or a pre-shape baseline
+        let shapeless = EngineSmoke { solver: None, sparse_grid: None, ..smoke(21) };
+        assert_eq!(check_smoke_baseline(&shapeless, &path), Ok(Some(10.0)));
+        std::fs::write(&path, shapeless.to_json()).unwrap();
+        assert_eq!(check_smoke_baseline(&smoke(21), &path), Ok(Some(10.0)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
