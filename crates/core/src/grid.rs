@@ -6,6 +6,8 @@
 //! bias of §4.2) every block whose crossbar intersection falls in that
 //! grid cell.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use ppuf_maxflow::NodeId;
@@ -62,6 +64,26 @@ impl GridPartition {
         let col = from.index() / stripe;
         let row = to.index() / stripe;
         row * self.grid + col
+    }
+
+    /// The grid cells of the edges leaving `from`, one run per cell:
+    /// each `(cell, targets)` says that every edge `from → to` with `to`
+    /// in `targets` lies in `cell`, as [`cell_of_edge`](Self::cell_of_edge)
+    /// would say edge by edge. The runs cover `0..n` in order (`from`
+    /// itself included, though it has no edge to itself); some are empty
+    /// when `l` does not divide `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range.
+    pub(crate) fn out_cells(&self, from: NodeId) -> impl Iterator<Item = (usize, Range<usize>)> {
+        assert!(from.index() < self.nodes);
+        let (nodes, grid) = (self.nodes, self.grid);
+        let stripe = nodes.div_ceil(grid);
+        let col = from.index() / stripe;
+        (0..grid).map(move |row| {
+            (row * grid + col, (row * stripe).min(nodes)..((row + 1) * stripe).min(nodes))
+        })
     }
 
     /// The grid cells that cover a terminal pair's star: every cell
@@ -127,6 +149,24 @@ mod tests {
                 }
                 let cell = g.cell_of_edge(NodeId::new(from), NodeId::new(to));
                 assert!(cell < 64);
+            }
+        }
+    }
+
+    #[test]
+    fn out_cell_runs_agree_with_cell_of_edge() {
+        for (nodes, grid) in [(1, 1), (4, 3), (10, 3), (40, 8), (900, 8)] {
+            let g = GridPartition::new(nodes, grid).unwrap();
+            for from in (0..nodes as u32).map(NodeId::new) {
+                let mut next = 0;
+                for (cell, targets) in g.out_cells(from) {
+                    assert_eq!(targets.start, next, "runs are contiguous");
+                    next = targets.end;
+                    for to in targets.map(|v| NodeId::new(v as u32)).filter(|&to| to != from) {
+                        assert_eq!(cell, g.cell_of_edge(from, to), "{from} -> {to}");
+                    }
+                }
+                assert_eq!(next, nodes, "runs cover every node");
             }
         }
     }

@@ -6,19 +6,31 @@
 //! 1. each flow runs between the challenge's own terminals and is
 //!    feasible on the published capacities (`O(m)`),
 //! 2. each flow is maximal — the sink is unreachable in the residual graph
-//!    (`O(n²/p)` parallel BFS),
+//!    (a BFS, `O(n²)` on the complete graph; the paper parallelizes it to
+//!    `O(n²/p)`),
 //! 3. the claimed response matches the comparator on the claimed values.
+//!
+//! The [`Verifier`] builds neither the flow network nor the residual
+//! graph: per network it makes one `O(m)` pass over the answer, reading
+//! each capacity from the [`PublicModel`], then runs a sequential BFS over
+//! the implicit complete graph with `O(n)` scratch memory. Its verdicts
+//! are those of [`Flow::check_feasible`] and [`ResidualGraph`] on
+//! [`PublicModel::flow_network`].
 //!
 //! A genuine device produces the answer in execution time `O(n)`; an
 //! impostor without the device must solve max-flow (`Ω(n²)`), which the
 //! verifier's response-deadline rules out.
+//!
+//! [`ResidualGraph`]: ppuf_maxflow::ResidualGraph
 
 use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Seconds;
-use ppuf_maxflow::{Flow, ResidualGraph};
+use ppuf_maxflow::flow::{value_mismatch, violates_capacity};
+use ppuf_maxflow::{Flow, MaxFlowError, NodeId};
 
 use crate::challenge::Challenge;
+use crate::crossbar::edge_index;
 use crate::device::PpufExecutor;
 use crate::error::PpufError;
 use crate::public_model::{NetworkSide, PublicModel};
@@ -100,8 +112,6 @@ impl VerificationReport {
 #[derive(Debug, Clone)]
 pub struct Verifier {
     model: PublicModel,
-    /// Threads used for the parallel residual BFS.
-    threads: usize,
     /// Optional response deadline (the ESG enforcement knob).
     deadline: Option<Seconds>,
     /// Absolute current tolerance for feasibility/optimality checks.
@@ -112,13 +122,7 @@ impl Verifier {
     /// Creates a verifier over a published model with the default
     /// [`VERIFY_TOLERANCE`].
     pub fn new(model: PublicModel) -> Self {
-        Verifier { model, threads: 1, deadline: None, tolerance: VERIFY_TOLERANCE }
-    }
-
-    /// Uses `threads` workers for the residual-reachability check.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
+        Verifier { model, deadline: None, tolerance: VERIFY_TOLERANCE }
     }
 
     /// Rejects answers that took longer than `deadline` (pass the measured
@@ -199,6 +203,15 @@ impl Verifier {
         Ok(VerificationReport { network_a, network_b, response_consistent, within_deadline })
     }
 
+    /// Checks one network's flow in one pass over its edges plus a
+    /// residual BFS, building no graph.
+    ///
+    /// The verdict equals [`Flow::check_feasible`] and
+    /// [`ResidualGraph::is_reachable`](ppuf_maxflow::ResidualGraph::is_reachable)
+    /// on [`PublicModel::flow_network`]: each per-node sum adds the same
+    /// terms in the same edge-id order, from the same `−0.0`, as
+    /// `Iterator::sum` over a complete graph's `out_edges`/`in_edges`, so
+    /// every sum is bitwise the same.
     fn verify_network(
         &self,
         side: NetworkSide,
@@ -210,15 +223,84 @@ impl Verifier {
         if (flow.source(), flow.sink()) != (challenge.source, challenge.sink) {
             return Ok(NetworkVerdict { feasible: false, maximal: false });
         }
-        let net = self.model.flow_network(side, challenge)?;
-        let feasible =
-            flow.check_feasible(&net, self.tolerance).map_err(PpufError::Simulation)?.is_feasible();
-        let residual =
-            ResidualGraph::new(&net, flow, self.tolerance).map_err(PpufError::Simulation)?;
-        let maximal = !residual
-            .is_reachable_parallel(challenge.source, challenge.sink, self.threads)
-            .map_err(PpufError::Simulation)?;
+        self.model.check_challenge(challenge)?;
+        let n = self.model.nodes();
+        let flows = flow.edge_flows();
+        let m = n * (n - 1);
+        if flows.len() != m {
+            return Err(PpufError::Simulation(MaxFlowError::FlowShapeMismatch {
+                flow_edges: flows.len(),
+                network_edges: m,
+            }));
+        }
+        let tol = self.tolerance;
+        let mut capacities = vec![0.0; n - 1];
+        let mut outflow = vec![0.0; n];
+        let mut inflow = vec![-0.0; n];
+        let mut over_capacity = false;
+        for (u, row) in flows.chunks_exact(n - 1).enumerate() {
+            self.model.out_capacities(side, challenge, NodeId::new(u as u32), &mut capacities)?;
+            over_capacity |= row
+                .iter()
+                .zip(&capacities)
+                .fold(false, |over, (&f, &c)| over | violates_capacity(f, c, tol));
+            outflow[u] = row.iter().sum();
+            let (before, after) = inflow.split_at_mut(u);
+            let (row_before, row_after) = row.split_at(u);
+            for (sum, &f) in before.iter_mut().zip(row_before) {
+                *sum += f;
+            }
+            for (sum, &f) in after[1..].iter_mut().zip(row_after) {
+                *sum += f;
+            }
+        }
+        let (s, t) = (challenge.source.index(), challenge.sink.index());
+        let unconserved = (0..n).any(|v| v != s && v != t && (inflow[v] - outflow[v]).abs() > tol);
+        let feasible = !over_capacity
+            && !unconserved
+            && !value_mismatch(flow.value(), outflow[s] - inflow[s], tol);
+        let maximal = !self.sink_reachable(side, challenge, flows)?;
         Ok(NetworkVerdict { feasible, maximal })
+    }
+
+    /// Breadth-first search from the source over the implicit complete
+    /// graph's residual arcs: `u → v` is an arc when the edge `u → v` has
+    /// more than `tol` capacity left or the edge `v → u` carries more
+    /// than `tol` that could be cancelled. Each dequeued node scans only
+    /// the nodes not yet reached, so an answer whose source side is every
+    /// node but the sink costs `O(n)` capacity reads after the first row.
+    /// Scratch memory is `O(n)`.
+    fn sink_reachable(
+        &self,
+        side: NetworkSide,
+        challenge: &Challenge,
+        flows: &[f64],
+    ) -> Result<bool, PpufError> {
+        let n = self.model.nodes();
+        let tol = self.tolerance;
+        let mut unreached = Vec::with_capacity(n - 1);
+        unreached.extend((0..n as u32).map(NodeId::new).filter(|&v| v != challenge.source));
+        let mut queue = Vec::with_capacity(n);
+        queue.push(challenge.source);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let mut i = 0;
+            while let Some(&v) = unreached.get(i) {
+                let spare =
+                    self.model.edge_capacity(side, challenge, u, v)? - flows[edge_index(n, u, v)];
+                if spare > tol || flows[edge_index(n, v, u)] > tol {
+                    if v == challenge.sink {
+                        return Ok(true);
+                    }
+                    queue.push(v);
+                    unreached.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        Ok(false)
     }
 }
 
@@ -242,7 +324,7 @@ mod tests {
         let (ppuf, challenge) = setup();
         let executor = ppuf.executor(Environment::NOMINAL);
         let answer = prove(&executor, &challenge).unwrap();
-        let verifier = Verifier::new(ppuf.public_model().unwrap()).with_threads(2);
+        let verifier = Verifier::new(ppuf.public_model().unwrap());
         let report = verifier.verify(&challenge, &answer).unwrap();
         assert!(report.accepted(), "{report:?}");
     }

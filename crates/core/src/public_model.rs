@@ -13,11 +13,11 @@
 use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Amps;
-use ppuf_maxflow::{Dinic, Flow, FlowNetwork, MaxFlowSolver};
+use ppuf_maxflow::{Dinic, Flow, FlowNetwork, MaxFlowError, MaxFlowSolver, NodeId};
 
 use crate::challenge::Challenge;
 use crate::comparator::Comparator;
-use crate::crossbar::edge_order;
+use crate::crossbar::{edge_index, edge_order};
 use crate::error::PpufError;
 use crate::grid::GridPartition;
 
@@ -120,17 +120,20 @@ impl PublicModel {
     }
 
     /// Checks that the model's parts agree on its shape: the grid
-    /// partition is a valid partition of exactly `nodes` nodes, and each
-    /// of the four capacity vectors has one entry per edge, `n(n−1)`.
+    /// partition is a valid partition of exactly `nodes` nodes, each of
+    /// the four capacity vectors has one entry per edge, `n(n−1)`, and
+    /// every capacity is a finite non-negative number.
     ///
     /// [`new`](Self::new) runs this check, but a model deserialized from
     /// an untrusted source has skipped it; check it before use, since
-    /// [`flow_network`](Self::flow_network) indexes by these shapes.
-    /// The cost is `O(1)`.
+    /// [`flow_network`](Self::flow_network) and the verifier index by
+    /// these shapes and read these capacities. The cost is `O(m)`, paid
+    /// once per registration.
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::InvalidConfig`] naming the first mismatch.
+    /// Returns [`PpufError::InvalidConfig`] naming the first mismatch:
+    /// for a bad capacity, the network, the bit and the edge.
     pub fn check_shape(&self) -> Result<(), PpufError> {
         let invalid = |reason: String| PpufError::InvalidConfig { reason };
         if self.grid.nodes() != self.nodes {
@@ -151,6 +154,14 @@ impl PublicModel {
                     return Err(invalid(format!(
                         "network {side} publishes {} {bit} capacities, expected {m}",
                         values.len()
+                    )));
+                }
+                let bad =
+                    edge_order(self.nodes).zip(values).enumerate().find(|(_, (_, &c))| unusable(c));
+                if let Some((k, ((from, to), c))) = bad {
+                    return Err(invalid(format!(
+                        "network {side} {bit} capacity of edge {k} ({from} -> {to}) is {c}, \
+                         not a finite non-negative number"
                     )));
                 }
             }
@@ -194,13 +205,84 @@ impl PublicModel {
         challenge: &Challenge,
     ) -> Result<FlowNetwork, PpufError> {
         self.check_challenge(challenge)?;
-        let caps = self.capacities(side);
         let mut net = FlowNetwork::new(self.nodes);
-        for (k, (from, to)) in edge_order(self.nodes).enumerate() {
-            let bit = challenge.control_bits[self.grid.cell_of_edge(from, to)];
-            net.add_edge(from, to, caps.capacity(k, bit)).map_err(PpufError::Simulation)?;
+        for (from, to) in edge_order(self.nodes) {
+            let capacity = self.edge_capacity(side, challenge, from, to)?;
+            net.add_edge(from, to, capacity).map_err(PpufError::Simulation)?;
         }
         Ok(net)
+    }
+
+    /// The capacity `challenge` gives the edge `from → to` of one
+    /// network: the edge's published value under the control bit of its
+    /// grid cell. [`flow_network`](Self::flow_network) and the verifier
+    /// read capacities through this rule, or through
+    /// [`out_capacities`](Self::out_capacities), its form for a whole
+    /// row.
+    ///
+    /// The caller has checked the challenge against the model
+    /// ([`check_challenge`](Self::check_challenge)) and the endpoints
+    /// against its node count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::Simulation`] with
+    /// [`MaxFlowError::InvalidCapacity`] for a negative or non-finite
+    /// published value (possible only in a model that skipped
+    /// [`check_shape`](Self::check_shape)).
+    pub(crate) fn edge_capacity(
+        &self,
+        side: NetworkSide,
+        challenge: &Challenge,
+        from: NodeId,
+        to: NodeId,
+    ) -> Result<f64, PpufError> {
+        let bit = challenge.control_bits[self.grid.cell_of_edge(from, to)];
+        let value = self.capacities(side).capacity(edge_index(self.nodes, from, to), bit);
+        if unusable(value) {
+            return Err(PpufError::Simulation(MaxFlowError::InvalidCapacity { value }));
+        }
+        Ok(value)
+    }
+
+    /// [`edge_capacity`](Self::edge_capacity) for every edge leaving
+    /// `from`, written into `row` in edge order (`to` ascending,
+    /// skipping `from`) one grid cell at a time: the verifier's pass
+    /// over the whole answer.
+    ///
+    /// # Errors
+    ///
+    /// As [`edge_capacity`](Self::edge_capacity), for the first unusable
+    /// value in the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row` holds exactly `n − 1` values.
+    pub(crate) fn out_capacities(
+        &self,
+        side: NetworkSide,
+        challenge: &Challenge,
+        from: NodeId,
+        row: &mut [f64],
+    ) -> Result<(), PpufError> {
+        assert_eq!(row.len(), self.nodes - 1, "one capacity per edge leaving {from}");
+        let caps = self.capacities(side);
+        let u = from.index();
+        let first = u * (self.nodes - 1);
+        // position in the row of the edge to `v` (a run's end, when `v`
+        // ends one): `from` has no edge to itself
+        let at = |v: usize| v - usize::from(v > u);
+        for (cell, targets) in self.grid.out_cells(from) {
+            let published = if challenge.control_bits[cell] { &caps.bit1 } else { &caps.bit0 };
+            let (lo, hi) = (at(targets.start), at(targets.end));
+            row[lo..hi].copy_from_slice(&published[first + lo..first + hi]);
+        }
+        // a fold, not a search: this runs once per row on every verify
+        if !row.iter().fold(false, |any, &c| any | unusable(c)) {
+            return Ok(());
+        }
+        let value = *row.iter().find(|&&c| unusable(c)).expect("the fold saw one");
+        Err(PpufError::Simulation(MaxFlowError::InvalidCapacity { value }))
     }
 
     /// Simulates a challenge: two max-flow solves plus the comparator.
@@ -250,7 +332,9 @@ impl PublicModel {
         })
     }
 
-    fn check_challenge(&self, challenge: &Challenge) -> Result<(), PpufError> {
+    /// Checks that `challenge` fits this model: two distinct terminals
+    /// among its nodes and one control bit per grid cell.
+    pub(crate) fn check_challenge(&self, challenge: &Challenge) -> Result<(), PpufError> {
         if challenge.source.index() >= self.nodes
             || challenge.sink.index() >= self.nodes
             || challenge.source == challenge.sink
@@ -272,10 +356,15 @@ impl PublicModel {
     }
 }
 
+/// A published capacity no edge can have: negative, NaN or infinite.
+fn unusable(capacity: f64) -> bool {
+    !capacity.is_finite() || capacity < 0.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppuf_maxflow::NodeId;
+    use crate::protocol::auth::{ProverAnswer, Verifier};
 
     fn tiny_model() -> PublicModel {
         let nodes = 4;
@@ -336,6 +425,48 @@ mod tests {
     }
 
     #[test]
+    fn check_shape_refuses_unusable_capacities() {
+        let grid = GridPartition::new(4, 2).unwrap();
+        let usable = || PublishedCapacities { bit0: vec![1.0; 12], bit1: vec![2.0; 12] };
+        let cmp = Comparator::default;
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut a = usable();
+            (a.bit0[0], a.bit1[0]) = (bad, bad);
+            let err = PublicModel::new(4, grid, a, usable(), cmp()).unwrap_err();
+            let expected = format!("network A bit-0 capacity of edge 0 (v0 -> v1) is {bad},");
+            assert!(err.to_string().contains(&expected), "{err}");
+
+            let mut b = usable();
+            b.bit1[7] = bad;
+            let err = PublicModel::new(4, grid, usable(), b, cmp()).unwrap_err();
+            let expected = format!("network B bit-1 capacity of edge 7 (v2 -> v1) is {bad},");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
+        // zero, of either sign, is a capacity
+        let mut zero = usable();
+        (zero.bit0[0], zero.bit1[1]) = (0.0, -0.0);
+        assert!(PublicModel::new(4, grid, zero, usable(), cmp()).is_ok());
+    }
+
+    #[test]
+    fn unusable_capacity_of_an_unchecked_model_is_an_error() {
+        // a deserialized model has skipped `check_shape`: reading a bad
+        // capacity is an error, as `FlowNetwork::add_edge` makes it, for
+        // the graph path and the verifier alike, never a verdict
+        let json = serde_json::to_string(&tiny_model()).unwrap();
+        let tampered: PublicModel =
+            serde_json::from_str(&json.replacen(r#""bit0":[1.0,"#, r#""bit0":[-1.0,"#, 1)).unwrap();
+        assert!(tampered.check_shape().is_err());
+        let challenge = tiny_challenge(vec![false; 4]);
+        let expected = PpufError::Simulation(MaxFlowError::InvalidCapacity { value: -1.0 });
+        assert_eq!(tampered.flow_network(NetworkSide::A, &challenge).unwrap_err(), expected);
+        let zero = Flow::from_edge_flows(challenge.source, challenge.sink, 0.0, vec![0.0; 12]);
+        let answer = ProverAnswer { response: false, flow_a: zero.clone(), flow_b: zero };
+        let verdict = Verifier::new(tampered).verify(&challenge, &answer);
+        assert_eq!(verdict.unwrap_err(), expected);
+    }
+
+    #[test]
     fn published_capacities_shape_checked() {
         assert!(PublishedCapacities::new(vec![Amps(1.0)], vec![Amps(1.0), Amps(2.0)]).is_err());
         let ok = PublishedCapacities::new(vec![Amps(1.0)], vec![Amps(2.0)]).unwrap();
@@ -352,6 +483,42 @@ mod tests {
         let n1 = model.flow_network(NetworkSide::A, &all1).unwrap();
         // bit-1 capacities are strictly larger in the tiny model
         assert!(n1.total_capacity() > n0.total_capacity());
+    }
+
+    #[test]
+    fn row_and_edge_capacities_agree() {
+        // 5 nodes on a 2 × 2 grid: stripes of 3 and 2 nodes
+        let (nodes, m) = (5, 20);
+        let caps = |base: f64| PublishedCapacities {
+            bit0: (0..m).map(|k| base + k as f64).collect(),
+            bit1: (0..m).map(|k| -(base + k as f64) * 0.5 + 100.0).collect(),
+        };
+        let grid = GridPartition::new(nodes, 2).unwrap();
+        let model =
+            PublicModel::new(nodes, grid, caps(1.0), caps(50.0), Comparator::default()).unwrap();
+        let challenge = Challenge {
+            source: NodeId::new(0),
+            sink: NodeId::new(4),
+            control_bits: vec![true, false, false, true],
+        };
+        let mut row = vec![0.0; nodes - 1];
+        for side in NetworkSide::BOTH {
+            let net = model.flow_network(side, &challenge).unwrap();
+            for from in (0..nodes as u32).map(NodeId::new) {
+                model.out_capacities(side, &challenge, from, &mut row).unwrap();
+                let targets = (0..nodes as u32).map(NodeId::new).filter(|&to| to != from);
+                for (to, &capacity) in targets.zip(&row) {
+                    let k = edge_index(nodes, from, to);
+                    let bit = challenge.control_bits[grid.cell_of_edge(from, to)];
+                    assert_eq!(capacity, model.capacities(side).capacity(k, bit));
+                    assert_eq!(model.edge_capacity(side, &challenge, from, to), Ok(capacity));
+                    assert_eq!(
+                        net.edge(ppuf_maxflow::EdgeId::new(k as u32)).unwrap().capacity,
+                        capacity
+                    );
+                }
+            }
+        }
     }
 
     #[test]

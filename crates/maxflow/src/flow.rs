@@ -111,8 +111,7 @@ impl Flow {
         self.check_shape(net)?;
         let mut report = FeasibilityReport::default();
         for (id, edge) in net.edges() {
-            let f = self.edge_flow[id.index()];
-            if f < -tol || f > edge.capacity + tol || !f.is_finite() {
+            if violates_capacity(self.edge_flow[id.index()], edge.capacity, tol) {
                 report.capacity_violations.push(id);
             }
         }
@@ -126,11 +125,7 @@ impl Flow {
                 report.conservation_violations.push(v);
             }
         }
-        let recomputed = self.net_out_of_source(net)?;
-        // every comparison with NaN is false: refuse a non-finite value
-        // before the `>` test can let it through
-        report.value_mismatch = !(self.value.is_finite() && recomputed.is_finite())
-            || (recomputed - self.value).abs() > tol.max(self.value.abs() * 1e-9);
+        report.value_mismatch = value_mismatch(self.value, self.net_out_of_source(net)?, tol);
         Ok(report)
     }
 
@@ -148,6 +143,26 @@ impl Flow {
         }
         Ok(())
     }
+}
+
+/// The capacity test of [`Flow::check_feasible`]: `true` when the edge
+/// flow `f` is below zero or above `capacity` by more than `tol`, or is
+/// not a finite number.
+#[inline]
+pub fn violates_capacity(f: f64, capacity: f64, tol: f64) -> bool {
+    f < -tol || f > capacity + tol || !f.is_finite()
+}
+
+/// The value test of [`Flow::check_feasible`]: `true` when a flow's
+/// claimed `value` and the `recomputed` net outflow of its source differ
+/// by more than `tol` (or one part in 10⁹ of a large value), or either
+/// is not finite.
+#[inline]
+pub fn value_mismatch(value: f64, recomputed: f64, tol: f64) -> bool {
+    // every comparison with NaN is false: refuse a non-finite value
+    // before the `>` test can let it through
+    !(value.is_finite() && recomputed.is_finite())
+        || (recomputed - value).abs() > tol.max(value.abs() * 1e-9)
 }
 
 /// Outcome of [`Flow::check_feasible`].

@@ -4,7 +4,9 @@
 //! "Practical Public PUF Enabled by Solving Max-Flow Problem on Chip"
 //! (DAC 2016): a directed-graph max-flow library with the exact solvers
 //! the execution–simulation-gap (ESG) experiment times, plus the cheap
-//! residual-graph verification that powers the authentication protocol.
+//! residual-graph verification behind the authentication protocol (its
+//! verifier walks the implicit complete graph instead of building one,
+//! and is tested against [`ResidualGraph`] and [`Flow::check_feasible`]).
 //! The paper answers parallel and ε-approximate attackers by citing their
 //! asymptotic bounds, not by running them, and so does this crate.
 //!

@@ -1,7 +1,8 @@
 //! Sharded cache of verification verdicts.
 //!
-//! The expensive part of serving an answer is the verifier's two
-//! residual-graph BFS passes (the optimality certificates). When two
+//! The expensive part of serving an answer is the verifier's check of
+//! its two flows: one pass over every edge of each, then a residual BFS
+//! (the optimality certificate). When two
 //! sessions present the *same* (challenge, answer) pair for the same
 //! device — an honest device's answer is deterministic — the flow checks
 //! can be served from cache. The issuer samples every challenge fresh,

@@ -406,12 +406,12 @@ impl Conn {
         consumed: &mut usize,
     ) -> Result<(), CloseReason> {
         while items.len() < PARSE_BATCH {
-            match wire2::parse_frame(&self.read_buf[self.read_pos + *consumed..]) {
+            match wire2::parse_frame_ref(&self.read_buf[self.read_pos + *consumed..]) {
                 Ok(None) => return Ok(()),
                 Ok(Some((frame, used))) => {
                     *consumed += used;
                     let corr = Corr::Binary(frame.corr);
-                    match wire2::decode_request(&frame) {
+                    match wire2::decode_request_ref(frame) {
                         Ok(request) => {
                             items.push(Inbound::Request { corr, request, trace: self.trace });
                         }

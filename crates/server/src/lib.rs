@@ -12,8 +12,8 @@
 //!   fresh nonce-bound, deadline-stamped challenges and rejecting replays
 //!   and expired sessions;
 //! - a sharded [`VerificationCache`] so a
-//!   repeated (device, challenge, answer) triple skips the residual-BFS
-//!   optimality passes;
+//!   repeated (device, challenge, answer) triple skips the verifier's
+//!   one-pass flow checks and residual BFS;
 //! - an epoll front-end ([`AsyncServer`]) speaking length-prefixed JSON
 //!   (wire 1.x) and binary frames (wire 2.0), whose bounded dispatch
 //!   queue is the service's one queue, with explicit backpressure

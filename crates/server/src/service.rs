@@ -1,6 +1,10 @@
 //! The verification service: request dispatch over registry, issuer,
 //! verifier, and cache.
 //!
+//! The verifier checks each of an answer's two flows in one `O(m)` pass
+//! over its edges plus a sequential residual BFS with `O(n)` scratch
+//! memory; it builds no graph (see [`ppuf_core::protocol::auth`]).
+//!
 //! Transport-agnostic — [`VerificationService::handle`] maps one
 //! [`Request`] to one [`Response`] on the calling thread and is called
 //! directly by tests; the async front-end ([`crate::reactor`]) calls
@@ -38,7 +42,10 @@ use crate::wire::{ErrorKind, ProfileFormat, Request, Response, StatsFormat};
 /// Tunables for one [`VerificationService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Threads each verifier uses for its residual-BFS passes.
+    /// Read by no part of the service: its verifier's residual BFS is
+    /// sequential. The only reader is the repository benchmark's
+    /// verifier replay (`perfbench/src/serve.rs`), which passes it to
+    /// `ResidualGraph::is_reachable_parallel`.
     pub verify_threads: usize,
     /// Answer deadline (the ESG enforcement knob); `None` disables the
     /// timing check.
@@ -451,9 +458,7 @@ impl VerificationService {
         if let Some(deadline) = self.config.deadline {
             issuer = issuer.with_deadline(deadline);
         }
-        let verifier = Verifier::new(model)
-            .with_threads(self.config.verify_threads)
-            .with_tolerance(self.config.tolerance);
+        let verifier = Verifier::new(model).with_tolerance(self.config.tolerance);
         // a re-registration may change the model: stale verdicts must go
         self.cache.invalidate_device(&device_id);
         self.registry.insert(DeviceEntry { device_id: device_id.clone(), verifier, issuer });
@@ -540,7 +545,8 @@ impl VerificationService {
 
     /// Checks `answer` on the calling thread, serving the flow checks
     /// from the cache when this (device, challenge, answer) triple was
-    /// verified before — a hit skips both residual-BFS passes. Returns a
+    /// verified before — a hit skips the verifier's pass over both flows
+    /// and its residual BFS. Returns a
     /// timeless report (its `within_deadline` is always `true`; the
     /// caller applies the deadline) and whether it came from the cache.
     ///

@@ -83,6 +83,19 @@ pub struct Frame2 {
     pub payload: Vec<u8>,
 }
 
+/// One wire-2.0 frame borrowed from the buffer it was parsed from: the
+/// reactor decodes requests straight out of its read buffer, with no
+/// copy of the payload.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameRef<'a> {
+    /// The frame opcode (see [`opcode`]).
+    pub(crate) opcode: u8,
+    /// Client-chosen correlation id.
+    pub(crate) corr: u64,
+    /// The opcode-specific payload.
+    pub(crate) payload: &'a [u8],
+}
+
 /// Why a byte stream cannot be (or stopped being) wire 2.0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame2Error {
@@ -126,15 +139,9 @@ impl From<Frame2Error> for io::Error {
 /// module never produce one (the request/response types they accept are
 /// themselves size-bounded upstream of any encode).
 pub fn encode_frame(opcode: u8, corr: u64, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= MAX_FRAME_LEN, "oversized wire-2.0 payload");
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.push(WIRE2_VERSION);
-    frame.push(opcode);
-    frame.extend_from_slice(&corr.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+    let mut enc = Enc::framed(payload.len());
+    enc.buf.extend_from_slice(payload);
+    enc.into_frame(opcode, corr)
 }
 
 /// Tries to parse one frame from the front of `buf`.
@@ -148,6 +155,13 @@ pub fn encode_frame(opcode: u8, corr: u64, payload: &[u8]) -> Vec<u8> {
 /// [`Frame2Error`] when the bytes can never become a valid frame; the
 /// stream is poisoned and the connection should close.
 pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame2, usize)>, Frame2Error> {
+    Ok(parse_frame_ref(buf)?.map(|(FrameRef { opcode, corr, payload }, consumed)| {
+        (Frame2 { opcode, corr, payload: payload.to_vec() }, consumed)
+    }))
+}
+
+/// [`parse_frame`] without copying the payload out of `buf`.
+pub(crate) fn parse_frame_ref(buf: &[u8]) -> Result<Option<(FrameRef<'_>, usize)>, Frame2Error> {
     if buf.is_empty() {
         return Ok(None);
     }
@@ -174,8 +188,8 @@ pub fn parse_frame(buf: &[u8]) -> Result<Option<(Frame2, usize)>, Frame2Error> {
     if buf.len() < HEADER_LEN + len {
         return Ok(None);
     }
-    let payload = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-    Ok(Some((Frame2 { opcode, corr, payload }, HEADER_LEN + len)))
+    let payload = &buf[HEADER_LEN..HEADER_LEN + len];
+    Ok(Some((FrameRef { opcode, corr, payload }, HEADER_LEN + len)))
 }
 
 /// Blocking write of one wire-2.0 frame (client/test helper).
@@ -257,6 +271,33 @@ struct Enc {
 }
 
 impl Enc {
+    /// A writer whose buffer starts with room for the frame header, so
+    /// that [`into_frame`](Self::into_frame) finishes the frame in place
+    /// instead of copying the payload behind a header.
+    fn framed(payload_capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload_capacity);
+        buf.resize(HEADER_LEN, 0);
+        Enc { buf }
+    }
+
+    /// Writes the header into the room [`framed`](Self::framed) left.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds [`MAX_FRAME_LEN`] (see
+    /// [`encode_frame`]).
+    fn into_frame(mut self, opcode: u8, corr: u64) -> Vec<u8> {
+        let len = self.buf.len() - HEADER_LEN;
+        assert!(len <= MAX_FRAME_LEN, "oversized wire-2.0 payload");
+        let header = &mut self.buf[..HEADER_LEN];
+        header[..2].copy_from_slice(&MAGIC);
+        header[2] = WIRE2_VERSION;
+        header[3] = opcode;
+        header[4..12].copy_from_slice(&corr.to_le_bytes());
+        header[12..].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -317,8 +358,10 @@ impl Enc {
         self.f64(flow.value());
         let edges = flow.edge_flows();
         self.u32(edges.len() as u32);
-        for &f in edges {
-            self.f64(f);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * edges.len(), 0);
+        for (bytes, f) in self.buf[start..].chunks_exact_mut(8).zip(edges) {
+            bytes.copy_from_slice(&f.to_le_bytes());
         }
     }
 
@@ -422,10 +465,11 @@ impl<'a> Dec<'a> {
         let sink = NodeId::new(self.u32()?);
         let value = self.f64()?;
         let count = self.counted(8)?;
-        let mut edges = Vec::with_capacity(count);
-        for _ in 0..count {
-            edges.push(self.f64()?);
-        }
+        let edges = self
+            .take(8 * count)?
+            .chunks_exact(8)
+            .map(|bytes| f64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+            .collect();
         Ok(Flow::from_edge_flows(source, sink, value, edges))
     }
 
@@ -489,39 +533,47 @@ fn error_kind_byte(kind: ErrorKind) -> u8 {
     ERROR_KINDS.iter().position(|&k| k == kind).expect("every kind is in the table") as u8
 }
 
-/// Fixed binary encoding of a hot-path request; `None` when the request
-/// has no binary form or a field exceeds a binary-wire bound — the
-/// caller falls back to JSON framing, which is lossless.
-fn try_encode_request(request: &Request) -> Option<(u8, Vec<u8>)> {
-    let mut enc = Enc::default();
-    let opcode = match request {
+/// Fixed binary encoding of a hot-path request, in a [`framed`](Enc::framed)
+/// writer; `None` when the request has no binary form or a field exceeds
+/// a binary-wire bound — the caller falls back to JSON framing, which is
+/// lossless.
+fn try_encode_request(request: &Request) -> Option<(u8, Enc)> {
+    match request {
         Request::GetChallenge { device_id } => {
+            let mut enc = Enc::framed(2 + device_id.len());
             enc.string(device_id).ok()?;
-            opcode::GET_CHALLENGE
+            Some((opcode::GET_CHALLENGE, enc))
         }
         Request::SubmitAnswer { device_id, nonce, answer } => {
+            // string, nonce, response byte, then per flow its terminals,
+            // value, edge count and edges
+            let flow_len = |flow: &Flow| 20 + 8 * flow.edge_flows().len();
+            let mut enc = Enc::framed(
+                2 + device_id.len() + 9 + flow_len(&answer.flow_a) + flow_len(&answer.flow_b),
+            );
             enc.string(device_id).ok()?;
             enc.u64(*nonce);
             enc.u8(u8::from(answer.response));
             enc.flow(&answer.flow_a);
             enc.flow(&answer.flow_b);
-            opcode::SUBMIT_ANSWER
+            Some((opcode::SUBMIT_ANSWER, enc))
         }
-        Request::Ping => opcode::PING,
-        _ => return None,
-    };
-    Some((opcode, enc.buf))
+        Request::Ping => Some((opcode::PING, Enc::framed(0))),
+        _ => None,
+    }
 }
 
 /// Encodes a request as one wire-2.0 frame under `corr`. Requests whose
 /// fields do not fit the fixed binary encodings ride a
 /// [`opcode::JSON_REQUEST`] frame instead.
 pub fn encode_request(corr: u64, request: &Request) -> Vec<u8> {
-    let (opcode, payload) = try_encode_request(request).unwrap_or_else(|| {
-        let json = serde_json::to_string(request).expect("requests serialize").into_bytes();
-        (opcode::JSON_REQUEST, json)
-    });
-    encode_frame(opcode, corr, &payload)
+    match try_encode_request(request) {
+        Some((opcode, enc)) => enc.into_frame(opcode, corr),
+        None => {
+            let json = serde_json::to_string(request).expect("requests serialize");
+            encode_frame(opcode::JSON_REQUEST, corr, json.as_bytes())
+        }
+    }
 }
 
 /// Fixed binary encoding of a hot-path response; `None` when the
@@ -616,7 +668,12 @@ pub fn encode_response(corr: u64, response: &Response) -> Vec<u8> {
 /// `Malformed` error, keeping the connection alive (matching the JSON
 /// wire's contract).
 pub fn decode_request(frame: &Frame2) -> io::Result<Request> {
-    let mut dec = Dec::new(&frame.payload);
+    decode_request_ref(FrameRef { opcode: frame.opcode, corr: frame.corr, payload: &frame.payload })
+}
+
+/// [`decode_request`] of a frame borrowed by [`parse_frame_ref`].
+pub(crate) fn decode_request_ref(frame: FrameRef<'_>) -> io::Result<Request> {
+    let mut dec = Dec::new(frame.payload);
     let request = match frame.opcode {
         opcode::GET_CHALLENGE => Request::GetChallenge { device_id: dec.string()? },
         opcode::SUBMIT_ANSWER => {
@@ -633,7 +690,7 @@ pub fn decode_request(frame: &Frame2) -> io::Result<Request> {
         }
         opcode::PING => Request::Ping,
         opcode::JSON_REQUEST => {
-            let text = std::str::from_utf8(&frame.payload)
+            let text = std::str::from_utf8(frame.payload)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
             let request: Request = serde_json::from_str(text)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;

@@ -312,12 +312,13 @@ fn deeply_nested_json_is_refused_and_serving_continues() {
     }
 }
 
-/// A `Register` model whose parts disagree on its shape arrives
-/// deserialized, so `PublicModel::new` never checked it: the service must
-/// refuse it before building a verifier that would index past its
-/// vectors. Three such models (more than the two dispatch threads) are
-/// each refused with `Malformed`, leave no device behind for a
-/// `SubmitAnswer`, and leave the server answering.
+/// A `Register` model whose parts disagree on its shape, or that
+/// publishes a capacity no edge can have, arrives deserialized, so
+/// `PublicModel::new` never checked it: the service must refuse it before
+/// building a verifier that would index past its vectors or blame every
+/// answer on the prover. Four such models (more than the two dispatch
+/// threads) are each refused with `Malformed`, leave no device behind for
+/// a `SubmitAnswer`, and leave the server answering.
 #[test]
 fn inconsistent_register_models_are_refused_and_serving_continues() {
     let server = bind_async(AsyncConfig::default());
@@ -332,10 +333,17 @@ fn inconsistent_register_models_are_refused_and_serving_continues() {
     // network B's bit-1 vector loses its first entry
     let bit1 = json.rfind(r#""bit1":["#).expect("bit1 vector") + r#""bit1":["#.len();
     let first = bit1 + json[bit1..].find(',').expect("two entries");
+    // network A's first edge gets capacity −1 under either bit
+    let negative = [r#""bit0":["#, r#""bit1":["#].iter().fold(json.clone(), |text, key| {
+        let start = text.find(key).expect("network A's vector") + key.len();
+        let end = start + text[start..].find(',').expect("two entries");
+        format!("{}-1.0{}", &text[..start], &text[end..])
+    });
     let tampered = [
         json.replacen(head, r#"{"nodes":7,"grid":{"nodes":6,"#, 1),
         json.replacen(head, r#"{"nodes":7,"grid":{"nodes":7,"#, 1),
         format!("{}{}", &json[..bit1], &json[first + 1..]),
+        negative,
     ];
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

@@ -256,3 +256,74 @@ fn oversized_and_bad_version_frames_reject() {
     assert!(matches!(parse_frame(&oversized), Err(Frame2Error::Oversized(_))));
     assert_eq!(HEADER_LEN, 16);
 }
+
+/// The SubmitAnswer frame of [`golden_submit_answer_bytes`], field by
+/// field: three-edge flows carrying −0.0, subnormals and NaNs with
+/// payloads, whose bits the wire must carry unchanged.
+#[rustfmt::skip]
+const GOLDEN_SUBMIT: [u8; 119] = [
+    0xB5, 0x50, 0x02, 0x02,                         // magic, version 2, SUBMIT_ANSWER
+    0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, // correlation id
+    0x67, 0x00, 0x00, 0x00,                         // payload length 103
+    0x04, 0x00, b'c', b'h', b'i', b'p',             // device id "chip"
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, // nonce
+    0x01,                                           // response bit
+    0x00, 0x00, 0x00, 0x00,                         // flow A: source 0
+    0x02, 0x00, 0x00, 0x00,                         //   sink 2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F, //   value 1.5
+    0x03, 0x00, 0x00, 0x00,                         //   3 edges:
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, //   −0.0
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, //   the smallest subnormal
+    0xEF, 0xBE, 0xAD, 0xDE, 0x00, 0x00, 0xF8, 0x7F, //   NaN with payload 0xDEAD_BEEF
+    0x00, 0x00, 0x00, 0x00,                         // flow B: source 0
+    0x02, 0x00, 0x00, 0x00,                         //   sink 2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, //   value −0.0
+    0x03, 0x00, 0x00, 0x00,                         //   3 edges:
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F, //   0.25
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x00, //   the largest subnormal
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0xFF, //   negative NaN with payload 1
+];
+
+/// Wire 2.0 framing is a fixed compatibility surface: the encoder must
+/// produce these exact bytes, the decoder must return every `f64` with
+/// its bits intact, and a payload cut short anywhere is refused as
+/// `InvalidData`, not a panic.
+#[test]
+fn golden_submit_answer_bytes() {
+    let bits = |values: &[u64]| values.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>();
+    let sent = ProverAnswer {
+        response: true,
+        flow_a: flow(0, 2, 1.5, bits(&[0x8000_0000_0000_0000, 1, 0x7FF8_0000_DEAD_BEEF])),
+        flow_b: flow(
+            0,
+            2,
+            -0.0,
+            bits(&[0x3FD0_0000_0000_0000, 0x000F_FFFF_FFFF_FFFF, 0xFFF8_0000_0000_0001]),
+        ),
+    };
+    let (corr, nonce) = (0x0123_4567_89AB_CDEF, 0x1122_3344_5566_7788);
+    let request = Request::SubmitAnswer { device_id: "chip".into(), nonce, answer: sent.clone() };
+    assert_eq!(encode_request(corr, &request), GOLDEN_SUBMIT);
+
+    let (frame, used) = parse_frame(&GOLDEN_SUBMIT).expect("parse").expect("complete");
+    assert_eq!((used, frame.opcode, frame.corr), (119, wire2::opcode::SUBMIT_ANSWER, corr));
+    let Request::SubmitAnswer { device_id, nonce: got_nonce, answer } =
+        decode_request(&frame).expect("decode")
+    else {
+        panic!("expected a SubmitAnswer");
+    };
+    assert_eq!((device_id.as_str(), got_nonce, answer.response), ("chip", nonce, true));
+    let flow_bits = |flow: &Flow| {
+        let edges: Vec<u64> = flow.edge_flows().iter().map(|f| f.to_bits()).collect();
+        (flow.source(), flow.sink(), flow.value().to_bits(), edges)
+    };
+    assert_eq!(flow_bits(&answer.flow_a), flow_bits(&sent.flow_a));
+    assert_eq!(flow_bits(&answer.flow_b), flow_bits(&sent.flow_b));
+
+    let payload = &GOLDEN_SUBMIT[HEADER_LEN..];
+    for cut in 0..payload.len() {
+        let short = wire2::Frame2 { payload: payload[..cut].to_vec(), ..frame.clone() };
+        let err = decode_request(&short).expect_err("a truncated payload decodes");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "cut at {cut}: {err}");
+    }
+}

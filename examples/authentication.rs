@@ -25,7 +25,7 @@ fn main() -> Result<(), PpufError> {
 
     // --- single-round authentication -------------------------------
     let challenge = ppuf.challenge_space().random(&mut rng);
-    let verifier = Verifier::new(model.clone()).with_threads(2);
+    let verifier = Verifier::new(model.clone());
 
     // honest prover: asks the chip
     let started = Instant::now();

@@ -103,7 +103,7 @@ fn authentication_accepts_device_rejects_forgery() {
     let ppuf = device(10, 2, 9);
     let model = ppuf.public_model().expect("publishable");
     let executor = ppuf.executor(Environment::NOMINAL);
-    let verifier = Verifier::new(model).with_threads(2);
+    let verifier = Verifier::new(model);
     let mut rng = ChaCha8Rng::seed_from_u64(10);
     for _ in 0..5 {
         let challenge = ppuf.challenge_space().random(&mut rng);
