@@ -101,16 +101,13 @@ impl ResponseOracle for PpufOracle<'_> {
         _rng: &mut R,
     ) -> Vec<Result<bool, PpufError>> {
         let full: Vec<Challenge> = challenges.iter().map(|b| self.full_challenge(b)).collect();
-        let resolution = self.executor.device().config().comparator.resolution.value();
+        let comparator = self.executor.model().comparator();
         let results = self.batch.run(std::slice::from_ref(&self.executor), &full);
         results
             .device_row(0)
             .iter()
             .map(|outcome| match outcome {
-                Ok(o) => o.response.ok_or(PpufError::UnresolvableResponse {
-                    difference: o.difference().value(),
-                    resolution,
-                }),
+                Ok(o) => comparator.resolve(o.current_a, o.current_b),
                 Err(e) => Err(e.clone()),
             })
             .collect()

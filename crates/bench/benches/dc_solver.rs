@@ -2,53 +2,20 @@
 //! curves, and the cost of building the tables (DESIGN.md §4.1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
-use ppuf_analog::montecarlo::gaussian;
+use ppuf_analog::block::{BlockBias, BlockDesign, BuildingBlock};
 use ppuf_analog::solver::{Circuit, DcOptions, TabulatedElement};
 use ppuf_analog::units::{Celsius, Volts};
-
-/// A small complete crossbar-like circuit with random variation.
-fn blocks(n: usize, seed: u64) -> Vec<(u32, u32, BuildingBlock)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut out = Vec::new();
-    for u in 0..n as u32 {
-        for v in 0..n as u32 {
-            if u == v {
-                continue;
-            }
-            let variation = BlockVariation {
-                delta_vth: [
-                    Volts(0.035 * gaussian(&mut rng)),
-                    Volts(0.035 * gaussian(&mut rng)),
-                    Volts(0.035 * gaussian(&mut rng)),
-                    Volts(0.035 * gaussian(&mut rng)),
-                ],
-            };
-            out.push((
-                u,
-                v,
-                BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE)
-                    .with_variation(variation),
-            ));
-        }
-    }
-    out
-}
+use ppuf_bench::engine_profile::{challenge_circuit, device_variations};
 
 fn bench_element_representation(c: &mut Criterion) {
     let n = 10;
-    let parts = blocks(n, 3);
+    // a small complete crossbar-like device under one challenge, with
+    // exact bisection-based block curves
+    let exact = challenge_circuit(n, &device_variations(n, 3), 0xC0);
     let mut group = c.benchmark_group("dc_element_representation");
     group.sample_size(10);
 
-    // exact bisection-based curves
-    let mut exact = Circuit::new(n);
-    for (u, v, b) in &parts {
-        exact.add_element(*u, *v, *b).expect("valid");
-    }
     group.bench_function("exact_block_curves", |b| {
         b.iter(|| {
             exact
@@ -61,11 +28,11 @@ fn bench_element_representation(c: &mut Criterion) {
     // tabulated curves (the production path)
     for samples in [256usize, 1024] {
         let mut tab = Circuit::new(n);
-        for (u, v, blk) in &parts {
+        for edge in exact.edges() {
             tab.add_element(
-                *u,
-                *v,
-                TabulatedElement::from_block(blk, Volts(2.5), samples, Celsius::NOMINAL),
+                edge.from,
+                edge.to,
+                TabulatedElement::from_block(&edge.element, Volts(2.5), samples, Celsius::NOMINAL),
             )
             .expect("valid");
         }

@@ -7,56 +7,17 @@
 //! warm-vs-cold ratio and the batch API overhead against regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
-use ppuf_analog::montecarlo::gaussian;
+use ppuf_analog::block::BuildingBlock;
 use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions};
 use ppuf_analog::units::Volts;
 use ppuf_analog::variation::Environment;
+use ppuf_bench::engine_profile::{challenge_circuit, device_variations};
 use ppuf_core::batch::{BatchOptions, EvalBatch, EvalMode};
 use ppuf_core::device::{Ppuf, PpufConfig};
 use ppuf_core::Challenge;
-
-/// Per-edge process draws for one device.
-fn device_variations(n: usize, seed: u64) -> Vec<BlockVariation> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n * (n - 1))
-        .map(|_| BlockVariation {
-            delta_vth: [
-                Volts(0.035 * gaussian(&mut rng)),
-                Volts(0.035 * gaussian(&mut rng)),
-                Volts(0.035 * gaussian(&mut rng)),
-                Volts(0.035 * gaussian(&mut rng)),
-            ],
-        })
-        .collect()
-}
-
-/// One device under one challenge: bias per edge from the challenge bits.
-fn challenge_circuit(
-    n: usize,
-    vars: &[BlockVariation],
-    challenge_seed: u64,
-) -> Circuit<BuildingBlock> {
-    let mut rng = ChaCha8Rng::seed_from_u64(challenge_seed);
-    let mut circuit = Circuit::new(n);
-    let mut edge = 0;
-    for u in 0..n as u32 {
-        for v in 0..n as u32 {
-            if u == v {
-                continue;
-            }
-            let block =
-                BuildingBlock::new(BlockDesign::Serial, BlockBias::for_input(rng.gen::<bool>()))
-                    .with_variation(vars[edge]);
-            circuit.add_element(u, v, block).expect("valid edge");
-            edge += 1;
-        }
-    }
-    circuit
-}
 
 fn bench_warm_vs_cold(c: &mut Criterion) {
     let n = 24usize;

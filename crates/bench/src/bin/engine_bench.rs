@@ -18,7 +18,7 @@
 //! `results/profiles/engine-smoke.folded` plus the same measurement as a
 //! schema-versioned telemetry report with its `profile` section.
 
-use std::fmt::Write as _;
+use serde::Serialize;
 
 use ppuf_analog::solver::{DcEngine, DcOptions, EngineOptions, LinearBackend};
 use ppuf_bench::engine_profile::{
@@ -27,8 +27,21 @@ use ppuf_bench::engine_profile::{
     BENCH_DIR, PROFILES_DIR, SUPPLY,
 };
 use ppuf_bench::report::write_json_report;
-use ppuf_telemetry::{JsonReporter, MemoryRecorder, SampleSeries};
+use ppuf_telemetry::{MemoryRecorder, SampleSeries};
 
+/// `engine.json`: the crossbar scaling matrix plus the grid workload
+/// under both linear backends.
+#[derive(Serialize)]
+struct FullReport {
+    schema: u32,
+    mode: &'static str,
+    backend: &'static str,
+    threads_available: usize,
+    sizes: Vec<SizeRow>,
+    grid_comparison: GridRow,
+}
+
+#[derive(Serialize)]
 struct EngineRow {
     threads: usize,
     cold_seconds: f64,
@@ -39,6 +52,7 @@ struct EngineRow {
     speedup_vs_cold_baseline: f64,
 }
 
+#[derive(Serialize)]
 struct SizeRow {
     nodes: usize,
     edges: usize,
@@ -56,7 +70,7 @@ fn measure_size(
     threads_list: &[usize],
     warm_repeats: usize,
     backend: LinearBackend,
-    reporter: &JsonReporter,
+    recorder: &MemoryRecorder,
 ) -> SizeRow {
     let options = DcOptions { backend, ..DcOptions::default() };
     let (source, sink) = (0u32, n as u32 - 1);
@@ -70,7 +84,7 @@ fn measure_size(
         let mut engine = DcEngine::new(EngineOptions { threads, ..EngineOptions::default() });
         let (_, cold_seconds) = time(|| {
             engine
-                .solve_traced(&circuit, source, sink, SUPPLY, &options, reporter.recorder())
+                .solve_traced(&circuit, source, sink, SUPPLY, &options, recorder)
                 .expect("engine cold solve converges")
         });
         // the batch workload: same device, challenge after challenge —
@@ -80,7 +94,7 @@ fn measure_size(
             let next = challenge_circuit(n, &vars, 0xC1 + rep as u64);
             let (_, seconds) = time(|| {
                 engine
-                    .solve_traced(&next, source, sink, SUPPLY, &options, reporter.recorder())
+                    .solve_traced(&next, source, sink, SUPPLY, &options, recorder)
                     .expect("warm solve converges")
             });
             warm.record(seconds);
@@ -89,17 +103,17 @@ fn measure_size(
         let last = challenge_circuit(n, &vars, 0xC0 + warm_repeats as u64);
         let (_, warm_repeat_seconds) = time(|| {
             engine
-                .solve_traced(&last, source, sink, SUPPLY, &options, reporter.recorder())
+                .solve_traced(&last, source, sink, SUPPLY, &options, recorder)
                 .expect("repeat solve converges")
         });
         // per-challenge terminal swap against the warm state
         let (swap_source, swap_sink) = (1u32.min(sink), sink - 1);
         let (_, warm_swap_seconds) = time(|| {
             engine
-                .solve_traced(&last, swap_source, swap_sink, SUPPLY, &options, reporter.recorder())
+                .solve_traced(&last, swap_source, swap_sink, SUPPLY, &options, recorder)
                 .expect("swap solve converges")
         });
-        reporter.record_samples(&format!("engine.warm_solve_seconds.n{n}.t{threads}"), &warm);
+        recorder.record_samples(&format!("engine.warm_solve_seconds.n{n}.t{threads}"), &warm);
         let warm_mean = warm.summary().map_or(f64::NAN, |s| s.mean);
         let row = EngineRow {
             threads,
@@ -121,6 +135,7 @@ fn measure_size(
 }
 
 /// One backend's measurement of the grid workload.
+#[derive(Serialize)]
 struct GridBackendRow {
     requested: &'static str,
     cold_seconds: f64,
@@ -130,10 +145,15 @@ struct GridBackendRow {
 
 /// The dense-vs-sparse comparison row: the same grid device, the same
 /// challenge chain, solved under each backend.
+#[derive(Serialize)]
 struct GridRow {
     side: usize,
+    nodes: usize,
+    edges: usize,
     warm_solves: usize,
     backends: Vec<GridBackendRow>,
+    sparse_cold_speedup: f64,
+    sparse_warm_speedup: f64,
 }
 
 fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
@@ -181,81 +201,20 @@ fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
             solver,
         });
     }
-    GridRow { side, warm_solves: warm_repeats, backends }
+    let (dense, sparse) = (&backends[0], &backends[1]);
+    GridRow {
+        side,
+        nodes: n,
+        edges: grid_edge_count(side),
+        warm_solves: warm_repeats,
+        sparse_cold_speedup: dense.cold_seconds / sparse.cold_seconds,
+        sparse_warm_speedup: dense.warm_mean_seconds / sparse.warm_mean_seconds,
+        backends,
+    }
 }
 
-fn render_full(
-    rows: &[SizeRow],
-    grid: &GridRow,
-    backend_label: &str,
-    threads_available: usize,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": 1,\n  \"mode\": \"full\",\n");
-    let _ = writeln!(out, "  \"backend\": \"{backend_label}\",");
-    let _ = writeln!(out, "  \"threads_available\": {threads_available},");
-    out.push_str("  \"sizes\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"nodes\": {},", row.nodes);
-        let _ = writeln!(out, "      \"edges\": {},", row.edges);
-        let _ = writeln!(out, "      \"cold_baseline_seconds\": {:?},", row.cold_baseline_seconds);
-        out.push_str("      \"engines\": [\n");
-        for (j, e) in row.engines.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"threads\": {}, \"cold_seconds\": {:?}, \"warm_mean_seconds\": {:?}, \
-                 \"warm_solves\": {}, \"warm_repeat_seconds\": {:?}, \"warm_swap_seconds\": {:?}, \
-                 \"speedup_vs_cold_baseline\": {:?}}}",
-                e.threads,
-                e.cold_seconds,
-                e.warm_mean_seconds,
-                e.warm_solves,
-                e.warm_repeat_seconds,
-                e.warm_swap_seconds,
-                e.speedup_vs_cold_baseline,
-            );
-            out.push_str(if j + 1 < row.engines.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"grid_comparison\": {\n");
-    let _ = writeln!(out, "    \"side\": {},", grid.side);
-    let _ = writeln!(out, "    \"nodes\": {},", grid.side * grid.side);
-    let _ = writeln!(out, "    \"edges\": {},", grid_edge_count(grid.side));
-    let _ = writeln!(out, "    \"warm_solves\": {},", grid.warm_solves);
-    out.push_str("    \"backends\": [\n");
-    for (i, b) in grid.backends.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"requested\": \"{}\", \"cold_seconds\": {:?}, \
-             \"warm_mean_seconds\": {:?}, \"solver\": {}}}",
-            b.requested,
-            b.cold_seconds,
-            b.warm_mean_seconds,
-            b.solver.to_json()
-        );
-        out.push_str(if i + 1 < grid.backends.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ]");
-    if let [dense, sparse] = &grid.backends[..] {
-        let _ = write!(
-            out,
-            ",\n    \"sparse_cold_speedup\": {:?},\n    \"sparse_warm_speedup\": {:?}\n",
-            dense.cold_seconds / sparse.cold_seconds,
-            dense.warm_mean_seconds / sparse.warm_mean_seconds
-        );
-    } else {
-        out.push('\n');
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-fn run_full(backend: LinearBackend, backend_label: &str) {
-    let reporter = JsonReporter::new("engine_bench");
+fn run_full(backend: LinearBackend, backend_label: &'static str) {
+    let recorder = MemoryRecorder::new();
     let threads_available = std::thread::available_parallelism().map_or(1, |p| p.get());
     // cold solves at n = 900 take minutes each, so the thread matrix
     // narrows as n grows — 1 vs 4 still brackets the scaling story
@@ -263,15 +222,23 @@ fn run_full(backend: LinearBackend, backend_label: &str) {
         [(100, &[1, 2, 4], 5), (200, &[1, 2, 4], 5), (400, &[1, 2, 4], 3), (900, &[1, 4], 2)];
     let rows: Vec<SizeRow> = sizes
         .iter()
-        .map(|&(n, threads, reps)| measure_size(n, threads, reps, backend, &reporter))
+        .map(|&(n, threads, reps)| measure_size(n, threads, reps, backend, &recorder))
         .collect();
     // the dense-vs-sparse comparison always measures both backends on
     // the grid workload, whatever the crossbar matrix was forced to
-    let grid = measure_grid(30, 3);
-    let json = render_full(&rows, &grid, backend_label, threads_available);
+    let report = FullReport {
+        schema: 1,
+        mode: "full",
+        backend: backend_label,
+        threads_available,
+        sizes: rows,
+        grid_comparison: measure_grid(30, 3),
+    };
+    let json = serde_json::to_string_pretty(&report).expect("engine report serializes");
     let path = write_json_report("engine", &json, BENCH_DIR).expect("write engine.json");
     eprintln!("wrote {}", path.display());
-    let telemetry = write_json_report("engine-telemetry", &reporter.report().to_json(), BENCH_DIR)
+    let snapshot = recorder.snapshot("engine_bench");
+    let telemetry = write_json_report("engine-telemetry", &snapshot.to_json(), BENCH_DIR)
         .expect("write telemetry");
     eprintln!("wrote {}", telemetry.display());
 }

@@ -1,8 +1,8 @@
 //! Generates a machine-readable telemetry run report: one device is
 //! exercised end-to-end — analog DC operating point, max-flow simulation,
 //! transient settling, and a small model-building attack — with every
-//! stage reporting into a single [`JsonReporter`], then the
-//! schema-versioned report is written under `results/telemetry/`.
+//! stage reporting into a single [`MemoryRecorder`], whose
+//! schema-versioned snapshot is written under `results/telemetry/`.
 //!
 //! ```text
 //! cargo run --release --bin telemetry_report [-- --nodes N] [--out DIR]
@@ -18,7 +18,7 @@ use ppuf_bench::experiments::make_ppuf;
 use ppuf_bench::report::{write_telemetry_report, TELEMETRY_DIR};
 use ppuf_core::NetworkSide;
 use ppuf_maxflow::{Dinic, MaxFlowSolver};
-use ppuf_telemetry::{JsonReporter, Recorder};
+use ppuf_telemetry::{MemoryRecorder, Recorder};
 
 /// Per-edge junction capacitance for the transient stage (see the delay
 /// ablation: magnitude only scales the time axis, not the behaviour).
@@ -37,7 +37,7 @@ fn arg_after(flag: &str) -> Option<String> {
 fn main() {
     let nodes: usize = arg_after("--nodes").and_then(|v| v.parse().ok()).unwrap_or(100);
     let out_dir = arg_after("--out").unwrap_or_else(|| TELEMETRY_DIR.to_string());
-    let reporter = JsonReporter::new(format!("run_n{nodes}"));
+    let reporter = MemoryRecorder::new();
 
     // --- device under test -------------------------------------------
     let grid = (nodes / 5).clamp(1, 8);
@@ -111,7 +111,7 @@ fn main() {
     );
 
     // --- write the report ----------------------------------------------
-    let report = reporter.report();
+    let report = reporter.snapshot(&format!("run_n{nodes}"));
     let path = write_telemetry_report(&report, &out_dir).expect("report written");
     println!(
         "\nschema v{} report with {} counters, {} histograms, {} spans, {} events -> {}",

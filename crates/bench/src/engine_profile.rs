@@ -7,7 +7,6 @@
 //! code, so a trajectory entry and a gate verdict always describe the
 //! same measurement.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -197,23 +196,6 @@ impl SolverShape {
             },
         }
     }
-
-    /// Single-line JSON object for the hand-rolled reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"backend\": {:?}, \"newton_iterations\": {}, \"jacobian_factorizations\": {}, \
-             \"jacobian_nnz\": {}, \"lu_nnz\": {}, \"fill_ratio\": {:?}, \
-             \"symbolic_reuse_hits\": {}, \"full_factorizations\": {}}}",
-            self.backend,
-            self.newton_iterations,
-            self.jacobian_factorizations,
-            self.jacobian_nnz,
-            self.lu_nnz,
-            self.fill_ratio,
-            self.symbolic_reuse_hits,
-            self.full_factorizations,
-        )
-    }
 }
 
 /// The smoke profile's sparse-workload measurement: one grid device
@@ -233,23 +215,6 @@ pub struct GridSmoke {
     pub source_current_amps: f64,
     /// Linear-solver shape of the chain (sparse for any healthy run).
     pub solver: SolverShape,
-}
-
-impl GridSmoke {
-    /// JSON object used inside the smoke report.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"side\": {},\n    \"nodes\": {},\n    \"cold_seconds\": {:?},\n    \
-             \"warm_mean_seconds\": {:?},\n    \"source_current_amps\": {:?},\n    \
-             \"solver\": {}\n  }}",
-            self.side,
-            self.nodes,
-            self.cold_seconds,
-            self.warm_mean_seconds,
-            self.source_current_amps,
-            self.solver.to_json()
-        )
-    }
 }
 
 /// What the always-on hierarchical profiler measured during the smoke:
@@ -275,18 +240,6 @@ impl ProfileSummary {
     pub fn warm_overhead_ratio(&self) -> f64 {
         self.warm_profiled_mean_seconds / self.warm_unprofiled_mean_seconds
     }
-
-    /// JSON object used inside the smoke report.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"device_eval_self_share\": {:?}, \"paths\": {}, \
-             \"warm_profiled_mean_seconds\": {:?}, \"warm_unprofiled_mean_seconds\": {:?}}}",
-            self.device_eval_self_share,
-            self.paths,
-            self.warm_profiled_mean_seconds,
-            self.warm_unprofiled_mean_seconds,
-        )
-    }
 }
 
 /// The smoke profile's measurement: one crossbar cold solve (the gated
@@ -311,26 +264,10 @@ pub struct EngineSmoke {
 }
 
 impl EngineSmoke {
-    /// The flat JSON shape `engine-smoke.json` (and the committed
-    /// baseline) use. The gated `cold_seconds` stays the first of its
-    /// name in the text, so the baseline reader keeps working.
+    /// The JSON text of `engine-smoke.json` and the committed baseline,
+    /// which [`check_smoke_baseline`] reads back as an `EngineSmoke`.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n  \"schema\": 1,\n  \"mode\": \"smoke\",\n  \"nodes\": {},\n  \
-             \"cold_seconds\": {:?},\n  \"source_current_amps\": {:?}",
-            self.nodes, self.cold_seconds, self.source_current_amps
-        );
-        if let Some(solver) = &self.solver {
-            let _ = write!(out, ",\n  \"solver\": {}", solver.to_json());
-        }
-        if let Some(grid) = &self.sparse_grid {
-            let _ = write!(out, ",\n  \"sparse_grid\": {}", grid.to_json());
-        }
-        if let Some(profile) = &self.profile {
-            let _ = write!(out, ",\n  \"profile\": {}", profile.to_json());
-        }
-        out.push_str("\n}\n");
-        out
+        serde_json::to_string_pretty(self).expect("smoke serialization cannot fail")
     }
 }
 
@@ -440,16 +377,14 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     (smoke, profiler)
 }
 
-/// Extracts the first `"key": <number>` value from a JSON text. Enough
-/// for the flat smoke schema without pulling a parser into the binary.
-pub fn extract_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The committed baseline at `path`, or `None` when there is none yet.
+fn read_baseline(path: &str) -> Result<Option<EngineSmoke>, String> {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return Ok(None);
+    };
+    serde_json::from_str(&text)
+        .map(Some)
+        .map_err(|e| format!("baseline {path} does not parse: {e}"))
 }
 
 /// Gates `smoke` against the committed baseline at `baseline_path`:
@@ -458,43 +393,37 @@ pub fn extract_number(text: &str, key: &str) -> Option<f64> {
 /// [`SMOKE_ITERATION_SLACK`] of its crossbar Newton iterations,
 /// `Ok(None)` when no baseline exists yet (the gate is unarmed), `Err`
 /// with a human-readable message on a regression. The iteration gate
-/// arms only when both sides carry a crossbar `solver` shape; the
-/// baseline's count is the first `newton_iterations` in its text, which
-/// [`EngineSmoke::to_json`] writes before the grid's.
+/// arms only when both sides carry a crossbar `solver` shape.
 ///
 /// # Errors
 ///
 /// Returns the regression description when the cold solve exceeds the
 /// allowed factor over the baseline's time or the allowed slack over its
-/// iterations.
+/// iterations, or says that the baseline does not parse.
 pub fn check_smoke_baseline(
     smoke: &EngineSmoke,
     baseline_path: &str,
 ) -> Result<Option<f64>, String> {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
+    let Some(baseline) = read_baseline(baseline_path)? else {
         return Ok(None);
     };
-    let baseline = extract_number(&text, "cold_seconds")
-        .ok_or_else(|| format!("baseline {baseline_path} has no cold_seconds field"))?;
-    let limit = baseline * SMOKE_REGRESSION_FACTOR;
-    if smoke.cold_seconds > limit {
+    let base_seconds = baseline.cold_seconds;
+    if smoke.cold_seconds > base_seconds * SMOKE_REGRESSION_FACTOR {
         return Err(format!(
-            "cold solve {:.3}s exceeds {SMOKE_REGRESSION_FACTOR}x baseline {baseline:.3}s",
+            "cold solve {:.3}s exceeds {SMOKE_REGRESSION_FACTOR}x baseline {base_seconds:.3}s",
             smoke.cold_seconds
         ));
     }
-    if let (Some(solver), Some(base_iterations)) =
-        (&smoke.solver, extract_number(&text, "newton_iterations"))
-    {
-        if solver.newton_iterations as f64 > base_iterations + SMOKE_ITERATION_SLACK as f64 {
+    if let (Some(solver), Some(base)) = (&smoke.solver, &baseline.solver) {
+        if solver.newton_iterations > base.newton_iterations + SMOKE_ITERATION_SLACK {
             return Err(format!(
-                "cold solve took {} Newton iterations, more than baseline {base_iterations} \
+                "cold solve took {} Newton iterations, more than baseline {} \
                  + {SMOKE_ITERATION_SLACK}",
-                solver.newton_iterations
+                solver.newton_iterations, base.newton_iterations
             ));
         }
     }
-    Ok(Some(baseline))
+    Ok(Some(base_seconds))
 }
 
 /// Gates the measured device-eval self-time share against the committed
@@ -505,7 +434,8 @@ pub fn check_smoke_baseline(
 /// # Errors
 ///
 /// Returns the drift description when the share moved more than the
-/// tolerance — the solve's composition changed.
+/// tolerance — the solve's composition changed — or says that the
+/// baseline does not parse.
 pub fn check_eval_share_baseline(
     smoke: &EngineSmoke,
     baseline_path: &str,
@@ -513,10 +443,10 @@ pub fn check_eval_share_baseline(
     let Some(profile) = &smoke.profile else {
         return Ok(None);
     };
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        return Ok(None);
-    };
-    let Some(baseline) = extract_number(&text, "device_eval_self_share") else {
+    let Some(baseline) = read_baseline(baseline_path)?
+        .and_then(|baseline| baseline.profile)
+        .map(|profile| profile.device_eval_self_share)
+    else {
         return Ok(None);
     };
     let measured = profile.device_eval_self_share;
@@ -533,14 +463,6 @@ pub fn check_eval_share_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extract_number_reads_flat_json() {
-        let text = "{\n  \"schema\": 1,\n  \"cold_seconds\": 10.17,\n  \"x\": -2e-3\n}";
-        assert_eq!(extract_number(text, "cold_seconds"), Some(10.17));
-        assert_eq!(extract_number(text, "x"), Some(-2e-3));
-        assert_eq!(extract_number(text, "missing"), None);
-    }
 
     #[test]
     fn baseline_gate_passes_within_factor_and_fails_beyond() {
@@ -638,8 +560,6 @@ mod tests {
             }),
         };
         let text = smoke.to_json();
-        assert_eq!(extract_number(&text, "cold_seconds"), Some(9.5));
-        assert_eq!(extract_number(&text, "device_eval_self_share"), Some(0.91));
         let back: EngineSmoke = serde_json::from_str(&text).expect("smoke JSON parses");
         assert_eq!(back, smoke);
     }

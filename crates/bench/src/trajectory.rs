@@ -204,7 +204,8 @@ pub const ASYNC_REGRESSION_FACTOR: f64 = 3.0;
 ///
 /// Returns the regression description when throughput fell below
 /// baseline/[`ASYNC_REGRESSION_FACTOR`] or the per-request p99 exceeds
-/// [`ASYNC_REGRESSION_FACTOR`]× baseline.
+/// [`ASYNC_REGRESSION_FACTOR`]× baseline, or says that the baseline does
+/// not parse or lacks either number.
 pub fn check_async_baseline(
     sample: &AsyncServiceSample,
     baseline_path: &str,
@@ -212,10 +213,17 @@ pub fn check_async_baseline(
     let Ok(text) = std::fs::read_to_string(baseline_path) else {
         return Ok(None);
     };
-    let base_rps = crate::engine_profile::extract_number(&text, "throughput_rps")
-        .ok_or_else(|| format!("baseline {baseline_path} has no throughput_rps field"))?;
-    let base_p99 = crate::engine_profile::extract_number(&text, "request_p99_ms")
-        .ok_or_else(|| format!("baseline {baseline_path} has no request_p99_ms field"))?;
+    // the baseline records a subset of the sample's fields, plus a note
+    let baseline = serde_json::parse_value(&text)
+        .map_err(|e| format!("baseline {baseline_path} does not parse: {e}"))?;
+    let field = |key: &str| {
+        baseline
+            .get(key)
+            .and_then(|value| f64::from_value(value).ok())
+            .ok_or_else(|| format!("baseline {baseline_path} has no numeric {key} field"))
+    };
+    let base_rps = field("throughput_rps")?;
+    let base_p99 = field("request_p99_ms")?;
     if sample.throughput_rps < base_rps / ASYNC_REGRESSION_FACTOR {
         return Err(format!(
             "async throughput {:.1} rounds/s fell below baseline {base_rps:.1} / {ASYNC_REGRESSION_FACTOR}",

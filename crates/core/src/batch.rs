@@ -20,11 +20,11 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions, TabulatedElement};
-use ppuf_analog::units::Volts;
+use ppuf_analog::solver::{DcEngine, DcOptions, EngineOptions, TabulatedElement};
+use ppuf_analog::units::{Amps, Volts};
 
 use crate::challenge::Challenge;
-use crate::crossbar::edge_order;
+use crate::crossbar::{assemble_circuit, edge_order};
 use crate::device::{ExecutionOutcome, PpufExecutor};
 use crate::error::PpufError;
 use crate::public_model::NetworkSide;
@@ -265,10 +265,9 @@ impl EvalBatch {
         let tables_b = NetTables::build(executor, NetworkSide::B, v_max, samples);
         let mut engine_a = DcEngine::new(self.options.engine);
         let mut engine_b = DcEngine::new(self.options.engine);
-        let space = device.challenge_space();
-        let mut out = Vec::with_capacity(chunk.len());
-        for challenge in chunk {
-            out.push(space.validate(challenge).and_then(|()| {
+        chunk
+            .iter()
+            .map(|challenge| {
                 let i_a = tables_a.solve(executor, challenge, &mut engine_a, supply, &options)?;
                 let i_b = tables_b.solve(executor, challenge, &mut engine_b, supply, &options)?;
                 Ok(ExecutionOutcome {
@@ -276,9 +275,8 @@ impl EvalBatch {
                     current_b: i_b,
                     response: cfg.comparator.compare(i_a, i_b),
                 })
-            }));
-        }
-        out
+            })
+            .collect()
     }
 }
 
@@ -325,7 +323,8 @@ impl NetTables {
         NetTables { bit0: table(false), bit1: table(true) }
     }
 
-    /// Warm-started source current of this network under one challenge.
+    /// Warm-started source current of this network under one challenge
+    /// (an invalid challenge fails before the engine sees it).
     fn solve(
         &self,
         executor: &PpufExecutor<'_>,
@@ -333,18 +332,15 @@ impl NetTables {
         engine: &mut DcEngine,
         supply: Volts,
         options: &DcOptions,
-    ) -> Result<ppuf_analog::units::Amps, PpufError> {
+    ) -> Result<Amps, PpufError> {
         let device = executor.device();
-        let n = device.nodes();
-        let grid = device.grid();
-        let mut circuit: Circuit<&TabulatedElement> = Circuit::new(n);
-        for (k, (from, to)) in edge_order(n).enumerate() {
-            let bit = challenge.control_bits[grid.cell_of_edge(from, to)];
-            let table = if bit { &self.bit1[k] } else { &self.bit0[k] };
-            circuit
-                .add_element(from.index() as u32, to.index() as u32, table)
-                .map_err(PpufError::Execution)?;
-        }
+        let circuit = assemble_circuit(device.nodes(), device.grid(), challenge, |k, bit| {
+            if bit {
+                &self.bit1[k]
+            } else {
+                &self.bit0[k]
+            }
+        })?;
         let solution = engine
             .solve(
                 &circuit,

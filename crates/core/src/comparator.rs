@@ -11,6 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::{Amps, Watts};
 
+use crate::error::PpufError;
+
 /// A current comparator with finite resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Comparator {
@@ -48,6 +50,19 @@ impl Comparator {
         }
     }
 
+    /// [`compare`](Self::compare) with the dead zone as an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::UnresolvableResponse`] where `compare` returns
+    /// `None`.
+    pub fn resolve(&self, i_a: Amps, i_b: Amps) -> Result<bool, PpufError> {
+        self.compare(i_a, i_b).ok_or_else(|| PpufError::UnresolvableResponse {
+            difference: (i_a - i_b).abs().value(),
+            resolution: self.resolution.value(),
+        })
+    }
+
     /// `true` if a difference of the given magnitude is measurable.
     pub fn resolves(&self, difference: Amps) -> bool {
         difference.abs().value() >= self.resolution.value()
@@ -63,6 +78,7 @@ mod tests {
         let c = Comparator::default();
         assert_eq!(c.compare(Amps(2e-6), Amps(1e-6)), Some(true));
         assert_eq!(c.compare(Amps(1e-6), Amps(2e-6)), Some(false));
+        assert_eq!(c.resolve(Amps(1e-6), Amps(2e-6)), Ok(false));
     }
 
     #[test]
@@ -70,6 +86,10 @@ mod tests {
         let c = Comparator::new(Amps(1e-9));
         assert_eq!(c.compare(Amps(1e-6), Amps(1e-6 + 1e-10)), None);
         assert_eq!(c.compare(Amps(1e-6), Amps(1e-6)), None);
+        assert!(matches!(
+            c.resolve(Amps(1e-6), Amps(1e-6 + 1e-10)),
+            Err(PpufError::UnresolvableResponse { resolution, .. }) if resolution == 1e-9
+        ));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
 use ppuf_analog::solver::{Circuit, TabulatedElement};
 use ppuf_analog::units::{Amps, Volts};
 use ppuf_analog::variation::{DiePosition, Environment, ProcessVariation};
+use ppuf_analog::TwoTerminal;
 use ppuf_maxflow::NodeId;
 
 use crate::challenge::Challenge;
@@ -34,6 +35,29 @@ pub fn edge_order(nodes: usize) -> impl Iterator<Item = (NodeId, NodeId)> {
     (0..nodes as u32).flat_map(move |u| {
         (0..nodes as u32).filter(move |&v| v != u).map(move |v| (NodeId::new(u), NodeId::new(v)))
     })
+}
+
+/// The circuit `challenge` poses to an `n`-node crossbar: edge `k` (dense
+/// order) gets `element(k, bit)` for its grid cell's control bit.
+///
+/// # Errors
+///
+/// As [`CrossbarNetwork::circuit`].
+pub(crate) fn assemble_circuit<E: TwoTerminal>(
+    nodes: usize,
+    grid: &GridPartition,
+    challenge: &Challenge,
+    mut element: impl FnMut(usize, bool) -> E,
+) -> Result<Circuit<E>, PpufError> {
+    grid.challenge_space()?.validate(challenge)?;
+    let mut circuit = Circuit::new(nodes);
+    for (k, (from, to)) in edge_order(nodes).enumerate() {
+        let edge = element(k, grid.edge_bit(challenge, from, to));
+        circuit
+            .add_element(from.index() as u32, to.index() as u32, edge)
+            .map_err(PpufError::Execution)?;
+    }
+    Ok(circuit)
 }
 
 /// One crossbar network: the per-block process variation of an `n`-node
@@ -114,23 +138,19 @@ impl CrossbarNetwork {
         self.design
     }
 
-    /// The variation of the block on edge `from → to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range or `from == to`.
-    pub fn variation(&self, from: NodeId, to: NodeId) -> BlockVariation {
-        self.variations[edge_index(self.nodes, from, to)]
-    }
-
     /// Builds the block on edge `from → to` under challenge bit `bit`.
     ///
     /// # Panics
     ///
     /// Panics if either node is out of range or `from == to`.
     pub fn block(&self, from: NodeId, to: NodeId, bit: bool) -> BuildingBlock {
+        self.block_at(edge_index(self.nodes, from, to), bit)
+    }
+
+    /// [`block`](Self::block) by dense edge index.
+    fn block_at(&self, k: usize, bit: bool) -> BuildingBlock {
         BuildingBlock::new(self.design, BlockBias::for_input(bit))
-            .with_variation(self.variation(from, to))
+            .with_variation(self.variations[k])
     }
 
     /// Per-edge characterized capacities under a challenge-independent
@@ -157,8 +177,9 @@ impl CrossbarNetwork {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::ChallengeMismatch`] if the challenge's control
-    /// bits do not match `grid`, and propagates circuit-assembly errors.
+    /// Returns [`PpufError::ChallengeMismatch`] for a challenge outside
+    /// `grid`'s [`challenge_space`](GridPartition::challenge_space), and
+    /// propagates circuit-assembly errors.
     pub fn circuit(
         &self,
         challenge: &Challenge,
@@ -167,25 +188,9 @@ impl CrossbarNetwork {
         v_max: Volts,
         samples: usize,
     ) -> Result<Circuit<TabulatedElement>, PpufError> {
-        if challenge.control_bits.len() != grid.cell_count() {
-            return Err(PpufError::ChallengeMismatch {
-                reason: format!(
-                    "challenge has {} control bits, grid expects {}",
-                    challenge.control_bits.len(),
-                    grid.cell_count()
-                ),
-            });
-        }
-        let mut circuit = Circuit::new(self.nodes);
-        for (from, to) in edge_order(self.nodes) {
-            let bit = challenge.control_bits[grid.cell_of_edge(from, to)];
-            let block = self.block(from, to, bit);
-            let table = TabulatedElement::from_block(&block, v_max, samples, env.temperature);
-            circuit
-                .add_element(from.index() as u32, to.index() as u32, table)
-                .map_err(PpufError::Execution)?;
-        }
-        Ok(circuit)
+        assemble_circuit(self.nodes, grid, challenge, |k, bit| {
+            TabulatedElement::from_block(&self.block_at(k, bit), v_max, samples, env.temperature)
+        })
     }
 }
 

@@ -12,10 +12,11 @@
 //!   algorithms.
 //!
 //! [`PpufExecutor::execute_flow`] is a third, repo-internal path: the
-//! device's ground truth evaluated through the flow model with
-//! *environment-specific* capacities. The paper runs its statistical
-//! populations (Table 1, Fig 9, Fig 10) through SPICE; we run them through
-//! this fast path, which Fig 6 justifies (the two differ by < 1 %).
+//! device's ground truth: the published max-flow problem with capacities
+//! characterized under the executor's environment ([`PpufExecutor::model`]).
+//! The paper runs its statistical populations (Table 1, Fig 9, Fig 10)
+//! through SPICE; we run them through this fast path, which Fig 6
+//! justifies (the two differ by < 1 %).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -25,11 +26,11 @@ use ppuf_analog::montecarlo::stream;
 use ppuf_analog::solver::{DcOptions, SolveError};
 use ppuf_analog::units::{Amps, Joules, Seconds, Volts, Watts};
 use ppuf_analog::variation::{Environment, ProcessVariation};
-use ppuf_maxflow::{Dinic, Flow, FlowNetwork, MaxFlowSolver};
+use ppuf_maxflow::{Dinic, FlowNetwork};
 
 use crate::challenge::{Challenge, ChallengeSpace};
 use crate::comparator::Comparator;
-use crate::crossbar::{edge_order, CrossbarNetwork};
+use crate::crossbar::CrossbarNetwork;
 use crate::error::PpufError;
 use crate::grid::GridPartition;
 use crate::public_model::{NetworkSide, PublicModel, PublishedCapacities, SimulationOutcome};
@@ -187,8 +188,7 @@ impl Ppuf {
 
     /// The challenge space this device accepts.
     pub fn challenge_space(&self) -> ChallengeSpace {
-        ChallengeSpace::new(self.config.nodes, self.config.grid)
-            .expect("config was validated at construction")
+        self.grid.challenge_space().expect("config was validated at construction")
     }
 
     /// The control-grid partition.
@@ -214,36 +214,39 @@ impl Ppuf {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::InvalidConfig`] only if internal shapes are
-    /// inconsistent (a bug).
+    /// Returns [`PpufError::InvalidConfig`] if the model fails
+    /// [`PublicModel::check_shape`], e.g. on a capacity that is not a
+    /// finite non-negative number.
     pub fn public_model(&self) -> Result<PublicModel, PpufError> {
-        let v_ref = self.config.characterization_voltage;
-        let env = Environment::NOMINAL;
-        let publish = |net: &CrossbarNetwork| -> Result<PublishedCapacities, PpufError> {
-            PublishedCapacities::new(
-                net.capacities_for_bit(false, v_ref, env),
-                net.capacities_for_bit(true, v_ref, env),
-            )
-        };
-        PublicModel::new(
-            self.config.nodes,
-            self.grid,
-            publish(&self.network_a)?,
-            publish(&self.network_b)?,
-            self.config.comparator,
-        )
+        let model = self.characterize(Environment::NOMINAL);
+        model.check_shape()?;
+        Ok(model)
     }
 
     /// Binds the device to an environmental condition, producing an
-    /// executor with that condition's capacities cached.
+    /// executor whose flow path is the device characterized under that
+    /// condition.
     pub fn executor(&self, env: Environment) -> PpufExecutor<'_> {
-        let v_ref = self.config.characterization_voltage;
-        PpufExecutor {
-            device: self,
-            env,
-            caps_a: PerBitCapacities::build(&self.network_a, v_ref, env),
-            caps_b: PerBitCapacities::build(&self.network_b, v_ref, env),
-        }
+        PpufExecutor { device: self, env, model: self.characterize(env) }
+    }
+
+    /// Both networks' capacities under `env`, both input bits, at the
+    /// characterization voltage scaled with the supply rail.
+    fn characterize(&self, env: Environment) -> PublicModel {
+        let v_ref = env.scaled_supply(self.config.characterization_voltage);
+        let publish = |net: &CrossbarNetwork| {
+            let values = |bit| {
+                net.capacities_for_bit(bit, v_ref, env).into_iter().map(Amps::value).collect()
+            };
+            PublishedCapacities { bit0: values(false), bit1: values(true) }
+        };
+        PublicModel::unchecked(
+            self.config.nodes,
+            self.grid,
+            publish(&self.network_a),
+            publish(&self.network_b),
+            self.config.comparator,
+        )
     }
 
     /// Estimated energy per evaluation at size `n` (paper §5): crossbar
@@ -256,44 +259,13 @@ impl Ppuf {
     }
 }
 
-/// Challenge-independent per-edge capacities for one network under one
-/// environment, both input bits.
-#[derive(Debug, Clone)]
-struct PerBitCapacities {
-    bit0: Vec<f64>,
-    bit1: Vec<f64>,
-}
-
-impl PerBitCapacities {
-    fn build(net: &CrossbarNetwork, v_ref: Volts, env: Environment) -> Self {
-        // supply scaling moves the characterization point with the rail
-        let v_eff = env.scaled_supply(v_ref);
-        PerBitCapacities {
-            bit0: net
-                .capacities_for_bit(false, v_eff, env)
-                .into_iter()
-                .map(|a| a.value())
-                .collect(),
-            bit1: net.capacities_for_bit(true, v_eff, env).into_iter().map(|a| a.value()).collect(),
-        }
-    }
-
-    fn capacity(&self, k: usize, bit: bool) -> f64 {
-        if bit {
-            self.bit1[k]
-        } else {
-            self.bit0[k]
-        }
-    }
-}
-
 /// A device bound to an environment, ready to answer challenges.
 #[derive(Debug, Clone)]
 pub struct PpufExecutor<'a> {
     device: &'a Ppuf,
     env: Environment,
-    caps_a: PerBitCapacities,
-    caps_b: PerBitCapacities,
+    /// The device's flow model: its capacities characterized under `env`.
+    model: PublicModel,
 }
 
 impl PpufExecutor<'_> {
@@ -307,6 +279,12 @@ impl PpufExecutor<'_> {
         self.device
     }
 
+    /// The flow model of the fast path: the device characterized under
+    /// the bound environment ([`Ppuf::public_model`] at nominal).
+    pub fn model(&self) -> &PublicModel {
+        &self.model
+    }
+
     /// **Chip path**: solves the analog DC operating point of both
     /// crossbars and compares the source currents.
     ///
@@ -314,7 +292,6 @@ impl PpufExecutor<'_> {
     ///
     /// Propagates challenge validation and Newton-convergence errors.
     pub fn execute(&self, challenge: &Challenge) -> Result<ExecutionOutcome, PpufError> {
-        self.device.challenge_space().validate(challenge)?;
         let i_a = self.execute_network(NetworkSide::A, challenge)?;
         let i_b = self.execute_network(NetworkSide::B, challenge)?;
         Ok(ExecutionOutcome {
@@ -363,13 +340,9 @@ impl PpufExecutor<'_> {
     ///
     /// Propagates challenge validation and solver errors.
     pub fn execute_flow(&self, challenge: &Challenge) -> Result<ExecutionOutcome, PpufError> {
-        let (flow_a, flow_b) = self.flow_pair(challenge)?;
-        let (i_a, i_b) = (Amps(flow_a.value()), Amps(flow_b.value()));
-        Ok(ExecutionOutcome {
-            current_a: i_a,
-            current_b: i_b,
-            response: self.device.config.comparator.compare(i_a, i_b),
-        })
+        let SimulationOutcome { current_a, current_b, response, .. } =
+            self.execute_flow_detailed(challenge)?;
+        Ok(ExecutionOutcome { current_a, current_b, response })
     }
 
     /// Like [`execute_flow`](Self::execute_flow) but returns the full flow
@@ -382,40 +355,21 @@ impl PpufExecutor<'_> {
         &self,
         challenge: &Challenge,
     ) -> Result<SimulationOutcome, PpufError> {
-        let (flow_a, flow_b) = self.flow_pair(challenge)?;
-        let (i_a, i_b) = (Amps(flow_a.value()), Amps(flow_b.value()));
-        Ok(SimulationOutcome {
-            current_a: i_a,
-            current_b: i_b,
-            response: self.device.config.comparator.compare(i_a, i_b),
-            flow_a,
-            flow_b,
-        })
+        self.model.simulate(challenge, &Dinic::new())
     }
 
     /// The environment-specific max-flow instance of one network.
     ///
     /// # Errors
     ///
-    /// Propagates challenge validation errors.
+    /// Propagates challenge validation errors, and reports an unusable
+    /// characterized capacity as [`PpufError::Simulation`].
     pub fn flow_network(
         &self,
         side: NetworkSide,
         challenge: &Challenge,
     ) -> Result<FlowNetwork, PpufError> {
-        self.device.challenge_space().validate(challenge)?;
-        let caps = match side {
-            NetworkSide::A => &self.caps_a,
-            NetworkSide::B => &self.caps_b,
-        };
-        let n = self.device.config.nodes;
-        let grid = &self.device.grid;
-        let mut net = FlowNetwork::new(n);
-        for (k, (from, to)) in edge_order(n).enumerate() {
-            let bit = challenge.control_bits[grid.cell_of_edge(from, to)];
-            net.add_edge(from, to, caps.capacity(k, bit)).map_err(PpufError::Simulation)?;
-        }
-        Ok(net)
+        self.model.flow_network(side, challenge)
     }
 
     /// The response bit via the fast path.
@@ -425,24 +379,7 @@ impl PpufExecutor<'_> {
     /// Returns [`PpufError::UnresolvableResponse`] on a metastable
     /// comparison, plus any solver errors.
     pub fn response(&self, challenge: &Challenge) -> Result<bool, PpufError> {
-        let outcome = self.execute_flow(challenge)?;
-        outcome.response.ok_or(PpufError::UnresolvableResponse {
-            difference: outcome.difference().value(),
-            resolution: self.device.config.comparator.resolution.value(),
-        })
-    }
-
-    fn flow_pair(&self, challenge: &Challenge) -> Result<(Flow, Flow), PpufError> {
-        let net_a = self.flow_network(NetworkSide::A, challenge)?;
-        let net_b = self.flow_network(NetworkSide::B, challenge)?;
-        let solver = Dinic::new();
-        let flow_a = solver
-            .max_flow(&net_a, challenge.source, challenge.sink)
-            .map_err(PpufError::Simulation)?;
-        let flow_b = solver
-            .max_flow(&net_b, challenge.source, challenge.sink)
-            .map_err(PpufError::Simulation)?;
-        Ok((flow_a, flow_b))
+        self.model.response(challenge)
     }
 }
 
@@ -453,6 +390,9 @@ pub type ExecutionError = SolveError;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crossbar::edge_index;
+    use ppuf_analog::units::Celsius;
+    use ppuf_maxflow::MaxFlowSolver;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -544,6 +484,35 @@ mod tests {
             assert!((device.current_a.value() - public.current_a.value()).abs() < 1e-15);
             assert_eq!(device.response, public.response);
         }
+    }
+
+    #[test]
+    fn executor_model_is_the_device_characterized_under_its_environment() {
+        let p = small_ppuf(15);
+        let v_ref = p.config().characterization_voltage;
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        // nominal and two Table 1 corners
+        for env in [
+            Environment::NOMINAL,
+            Environment::new(0.9, Celsius(-20.0)),
+            Environment::new(1.1, Celsius(80.0)),
+        ] {
+            for side in NetworkSide::BOTH {
+                let oracle =
+                    |bit| p.network(side).capacities_for_bit(bit, env.scaled_supply(v_ref), env);
+                let (bit0, bit1) = (oracle(false), oracle(true));
+                let c = p.random_challenge(&mut rng);
+                let net = p.executor(env).flow_network(side, &c).unwrap();
+                assert_eq!(net.edge_count(), bit0.len());
+                for (_, e) in net.edges() {
+                    let k = edge_index(p.nodes(), e.from, e.to);
+                    let bit = c.control_bits[p.grid().cell_of_edge(e.from, e.to)];
+                    let expected = if bit { bit1[k] } else { bit0[k] }.value();
+                    assert_eq!(e.capacity.to_bits(), expected.to_bits(), "{env:?} {side:?} {k}");
+                }
+            }
+        }
+        assert_eq!(p.executor(Environment::NOMINAL).model(), &p.public_model().unwrap());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use ppuf_maxflow::NodeId;
 
+use crate::challenge::{Challenge, ChallengeSpace};
 use crate::error::PpufError;
 
 /// Maps crossbar intersections to grid-cell (challenge-bit) indices.
@@ -49,6 +50,26 @@ impl GridPartition {
     /// Number of grid cells (`l²` = control bits).
     pub fn cell_count(&self) -> usize {
         self.grid * self.grid
+    }
+
+    /// The challenges this partition accepts; every challenge check runs
+    /// [`ChallengeSpace::validate`] on it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PpufError::InvalidConfig`] for fewer than two nodes.
+    pub fn challenge_space(&self) -> Result<ChallengeSpace, PpufError> {
+        ChallengeSpace::new(self.nodes, self.grid)
+    }
+
+    /// The control bit `challenge` sets on edge `from → to`: its grid
+    /// cell's (paper §4.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a node out of range or too few control bits.
+    pub(crate) fn edge_bit(&self, challenge: &Challenge, from: NodeId, to: NodeId) -> bool {
+        challenge.control_bits[self.cell_of_edge(from, to)]
     }
 
     /// The grid-cell (= challenge-bit) index controlling the block at the

@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Seconds;
 use ppuf_maxflow::flow::{value_mismatch, violates_capacity};
-use ppuf_maxflow::{Flow, MaxFlowError, NodeId};
+use ppuf_maxflow::{Dinic, Flow, MaxFlowError, NodeId};
 
 use crate::challenge::Challenge;
 use crate::crossbar::edge_index;
@@ -55,7 +55,8 @@ pub struct ProverAnswer {
     pub flow_b: Flow,
 }
 
-/// An honest prover: answers from the device's fast path.
+/// An honest prover: answers from the device's fast path, the flow model
+/// characterized under the executor's environment.
 ///
 /// # Errors
 ///
@@ -65,11 +66,22 @@ pub fn prove(
     executor: &PpufExecutor<'_>,
     challenge: &Challenge,
 ) -> Result<ProverAnswer, PpufError> {
-    let outcome = executor.execute_flow_detailed(challenge)?;
-    let response = outcome.response.ok_or(PpufError::UnresolvableResponse {
-        difference: (outcome.current_a.value() - outcome.current_b.value()).abs(),
-        resolution: executor.device().config().comparator.resolution.value(),
-    })?;
+    answer_from(executor.model(), challenge)
+}
+
+/// The answer `model` gives: both [`Dinic`] max flows and the resolved
+/// bit. The honest prover's model is its device's characterization, the
+/// simulating impostor's the published one.
+///
+/// # Errors
+///
+/// As [`prove`].
+pub(crate) fn answer_from(
+    model: &PublicModel,
+    challenge: &Challenge,
+) -> Result<ProverAnswer, PpufError> {
+    let outcome = model.simulate(challenge, &Dinic::new())?;
+    let response = model.comparator().resolve(outcome.current_a, outcome.current_b)?;
     Ok(ProverAnswer { response, flow_a: outcome.flow_a, flow_b: outcome.flow_b })
 }
 
@@ -223,7 +235,7 @@ impl Verifier {
         if (flow.source(), flow.sink()) != (challenge.source, challenge.sink) {
             return Ok(NetworkVerdict { feasible: false, maximal: false });
         }
-        self.model.check_challenge(challenge)?;
+        self.model.grid().challenge_space()?.validate(challenge)?;
         let n = self.model.nodes();
         let flows = flow.edge_flows();
         let m = n * (n - 1);

@@ -18,7 +18,7 @@ use ppuf_analog::units::Seconds;
 use crate::challenge::Challenge;
 use crate::device::PpufExecutor;
 use crate::error::PpufError;
-use crate::protocol::auth::{prove, ProverAnswer, VerificationReport, Verifier};
+use crate::protocol::auth::{answer_from, prove, ProverAnswer, VerificationReport, Verifier};
 use crate::protocol::clock::{Clock, SystemClock};
 use crate::protocol::feedback::{run_chain, verify_chain, FeedbackChain};
 use crate::public_model::PublicModel;
@@ -69,12 +69,7 @@ impl SimulatingAttacker {
 
 impl Prover for SimulatingAttacker {
     fn answer(&self, challenge: &Challenge) -> Result<ProverAnswer, PpufError> {
-        let outcome = self.model.simulate(challenge, &ppuf_maxflow::Dinic::new())?;
-        let response = outcome.response.ok_or(PpufError::UnresolvableResponse {
-            difference: (outcome.current_a.value() - outcome.current_b.value()).abs(),
-            resolution: self.model.comparator().resolution.value(),
-        })?;
-        Ok(ProverAnswer { response, flow_a: outcome.flow_a, flow_b: outcome.flow_b })
+        answer_from(&self.model, challenge)
     }
 }
 
@@ -180,7 +175,7 @@ impl AuthenticationSession {
         rng: &mut R,
     ) -> Result<SessionOutcome, PpufError> {
         let model = self.verifier.model();
-        let space = crate::challenge::ChallengeSpace::new(model.nodes(), model.grid().grid())?;
+        let space = model.grid().challenge_space()?;
         let mut round_times = Vec::with_capacity(self.config.rounds);
         for round in 0..self.config.rounds {
             let challenge = space.random(rng);

@@ -46,23 +46,6 @@ pub struct PublishedCapacities {
 }
 
 impl PublishedCapacities {
-    /// Builds from per-bit capacity vectors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PpufError::InvalidConfig`] if the vectors' lengths differ.
-    pub fn new(bit0: Vec<Amps>, bit1: Vec<Amps>) -> Result<Self, PpufError> {
-        if bit0.len() != bit1.len() {
-            return Err(PpufError::InvalidConfig {
-                reason: format!("capacity vectors differ: {} vs {}", bit0.len(), bit1.len()),
-            });
-        }
-        Ok(PublishedCapacities {
-            bit0: bit0.into_iter().map(|a| a.value()).collect(),
-            bit1: bit1.into_iter().map(|a| a.value()).collect(),
-        })
-    }
-
     /// Capacity of edge `k` under challenge bit `bit`.
     pub fn capacity(&self, k: usize, bit: bool) -> f64 {
         if bit {
@@ -114,9 +97,22 @@ impl PublicModel {
         capacities_b: PublishedCapacities,
         comparator: Comparator,
     ) -> Result<Self, PpufError> {
-        let model = PublicModel { nodes, grid, capacities_a, capacities_b, comparator };
+        let model = Self::unchecked(nodes, grid, capacities_a, capacities_b, comparator);
         model.check_shape()?;
         Ok(model)
+    }
+
+    /// [`new`](Self::new) without the shape check, for a device's own
+    /// characterization: its flow path reports an unusable capacity per
+    /// challenge instead.
+    pub(crate) fn unchecked(
+        nodes: usize,
+        grid: GridPartition,
+        capacities_a: PublishedCapacities,
+        capacities_b: PublishedCapacities,
+        comparator: Comparator,
+    ) -> Self {
+        PublicModel { nodes, grid, capacities_a, capacities_b, comparator }
     }
 
     /// Checks that the model's parts agree on its shape: the grid
@@ -197,14 +193,15 @@ impl PublicModel {
     ///
     /// # Errors
     ///
-    /// Returns [`PpufError::ChallengeMismatch`] for a challenge of the
-    /// wrong shape, or a simulation error if capacities are invalid.
+    /// Returns [`PpufError::ChallengeMismatch`] for a challenge outside
+    /// the grid's [`challenge_space`](GridPartition::challenge_space), or
+    /// a simulation error if capacities are invalid.
     pub fn flow_network(
         &self,
         side: NetworkSide,
         challenge: &Challenge,
     ) -> Result<FlowNetwork, PpufError> {
-        self.check_challenge(challenge)?;
+        self.grid.challenge_space()?.validate(challenge)?;
         let mut net = FlowNetwork::new(self.nodes);
         for (from, to) in edge_order(self.nodes) {
             let capacity = self.edge_capacity(side, challenge, from, to)?;
@@ -220,9 +217,9 @@ impl PublicModel {
     /// [`out_capacities`](Self::out_capacities), its form for a whole
     /// row.
     ///
-    /// The caller has checked the challenge against the model
-    /// ([`check_challenge`](Self::check_challenge)) and the endpoints
-    /// against its node count.
+    /// The caller has validated the challenge against the grid's
+    /// [`challenge_space`](GridPartition::challenge_space) and the
+    /// endpoints against the node count.
     ///
     /// # Errors
     ///
@@ -237,7 +234,7 @@ impl PublicModel {
         from: NodeId,
         to: NodeId,
     ) -> Result<f64, PpufError> {
-        let bit = challenge.control_bits[self.grid.cell_of_edge(from, to)];
+        let bit = self.grid.edge_bit(challenge, from, to);
         let value = self.capacities(side).capacity(edge_index(self.nodes, from, to), bit);
         if unusable(value) {
             return Err(PpufError::Simulation(MaxFlowError::InvalidCapacity { value }));
@@ -326,33 +323,7 @@ impl PublicModel {
     /// resolve the difference.
     pub fn response(&self, challenge: &Challenge) -> Result<bool, PpufError> {
         let outcome = self.simulate(challenge, &Dinic::new())?;
-        outcome.response.ok_or(PpufError::UnresolvableResponse {
-            difference: (outcome.current_a.value() - outcome.current_b.value()).abs(),
-            resolution: self.comparator.resolution.value(),
-        })
-    }
-
-    /// Checks that `challenge` fits this model: two distinct terminals
-    /// among its nodes and one control bit per grid cell.
-    pub(crate) fn check_challenge(&self, challenge: &Challenge) -> Result<(), PpufError> {
-        if challenge.source.index() >= self.nodes
-            || challenge.sink.index() >= self.nodes
-            || challenge.source == challenge.sink
-        {
-            return Err(PpufError::ChallengeMismatch {
-                reason: format!("bad terminals ({}, {})", challenge.source, challenge.sink),
-            });
-        }
-        if challenge.control_bits.len() != self.grid.cell_count() {
-            return Err(PpufError::ChallengeMismatch {
-                reason: format!(
-                    "expected {} control bits, got {}",
-                    self.grid.cell_count(),
-                    challenge.control_bits.len()
-                ),
-            });
-        }
-        Ok(())
+        self.comparator.resolve(outcome.current_a, outcome.current_b)
     }
 }
 
@@ -464,14 +435,6 @@ mod tests {
         let answer = ProverAnswer { response: false, flow_a: zero.clone(), flow_b: zero };
         let verdict = Verifier::new(tampered).verify(&challenge, &answer);
         assert_eq!(verdict.unwrap_err(), expected);
-    }
-
-    #[test]
-    fn published_capacities_shape_checked() {
-        assert!(PublishedCapacities::new(vec![Amps(1.0)], vec![Amps(1.0), Amps(2.0)]).is_err());
-        let ok = PublishedCapacities::new(vec![Amps(1.0)], vec![Amps(2.0)]).unwrap();
-        assert_eq!(ok.capacity(0, false), 1.0);
-        assert_eq!(ok.capacity(0, true), 2.0);
     }
 
     #[test]

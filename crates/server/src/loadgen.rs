@@ -247,10 +247,9 @@ pub struct LoadgenReport {
     /// Requests shed `Overloaded` at the dispatch queue
     /// (`server.pool.rejected`).
     pub shed_requests: u64,
-    /// The server's telemetry counters after the run. The cache, shed,
-    /// malformed-request and DC warm-start counters are always present
-    /// (zero-filled), so a report records them even for a run that never
-    /// touched them.
+    /// The server's telemetry counters after the run. The cache, shed
+    /// and malformed-request counters are always present (zero-filled),
+    /// so a report records them even for a run that never touched them.
     pub server_counters: BTreeMap<String, u64>,
     /// The server's telemetry warnings after the run.
     pub server_warnings: Vec<String>,
@@ -272,8 +271,8 @@ impl LoadgenReport {
     /// round accepted, every impostor round rejected on the deadline,
     /// every garbage round answered with a structured error on a
     /// *surviving* connection, zero transport failures, the configured
-    /// connection count actually concurrently open on the server, a warm
-    /// DC engine, a live Prometheus scrape exposing the headline serving,
+    /// connection count actually concurrently open on the server, a live
+    /// Prometheus scrape exposing the headline serving,
     /// reactor and `ppuf_slo_*` metrics plus at least one
     /// `ppuf_profile_self_seconds_total` sample, and no server warnings.
     /// Per wire: every binary response carries its request's correlation
@@ -339,14 +338,10 @@ impl LoadgenReport {
                 self.peak_connections
             ));
         }
-        if self.server_counters.get("analog.dc.warm_start_hits").copied().unwrap_or(0) == 0 {
-            return Err("the DC engine never warm-started".into());
-        }
         for required in [
             "ppuf_cache_hits_total",
             "ppuf_pool_queue_depth",
             "ppuf_pool_rejected_total",
-            "ppuf_dc_warm_start_hits_total",
             "ppuf_slo_health",
             "ppuf_slo_latency_p99_seconds",
             "ppuf_conn_open",
@@ -800,8 +795,6 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
         "server.cache.evictions",
         "server.pool.rejected",
         "server.requests.malformed",
-        "analog.dc.warm_start_hits",
-        "analog.dc.warm_start_misses",
     ] {
         snapshot.counters.entry(key.into()).or_insert(0);
     }
@@ -821,7 +814,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadgenReport, String> {
 /// Registers the device (derived deterministically from `config.seed`,
 /// so either side can recreate it) over the wire-1.x admin path first.
 /// Transport figures (`peak_connections`, sheds, reaps) and the cache
-/// and warm-start counters are taken from the server's live Prometheus
+/// counters are taken from the server's live Prometheus
 /// scrape; warnings and span trees are not observable cross-process, so
 /// warnings report empty and `correlated_traces` is `None`.
 ///
@@ -887,13 +880,12 @@ fn drive_cohorts(
     prometheus::check_monotone(&scrape_before, &prometheus_samples)
         .map_err(|e| format!("counter regressed between live scrapes: {e}"))?;
 
-    // cross-process view: transport figures and the cache and warm-start
-    // counters come off the live scrape
+    // cross-process view: transport figures and the cache counters come
+    // off the live scrape
     let sample = |name: &str| prometheus_samples.get(name).copied().unwrap_or(0.0) as u64;
     let server_counters = [
         ("server.cache.hits", "ppuf_cache_hits_total"),
         ("server.cache.misses", "ppuf_cache_misses_total"),
-        ("analog.dc.warm_start_hits", "ppuf_dc_warm_start_hits_total"),
     ]
     .into_iter()
     .map(|(counter, metric)| (counter.to_string(), sample(metric)))

@@ -92,13 +92,12 @@ impl DeviceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppuf_core::challenge::ChallengeSpace;
     use ppuf_core::device::{Ppuf, PpufConfig};
 
     fn entry(device_id: &str) -> DeviceEntry {
         let ppuf = Ppuf::generate(PpufConfig::paper(6, 2), 7).unwrap();
         let model = ppuf.public_model().unwrap();
-        let space = ChallengeSpace::new(model.nodes(), model.grid().grid()).unwrap();
+        let space = model.grid().challenge_space().unwrap();
         DeviceEntry {
             device_id: device_id.to_string(),
             verifier: Verifier::new(model),

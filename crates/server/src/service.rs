@@ -20,10 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions};
-use ppuf_analog::units::{Amps, Celsius, Seconds, Volts};
-use ppuf_analog::TwoTerminal;
-use ppuf_core::challenge::{Challenge, ChallengeSpace};
+use ppuf_analog::units::Seconds;
+use ppuf_core::challenge::Challenge;
 use ppuf_core::protocol::auth::{ProverAnswer, VerificationReport, Verifier, VERIFY_TOLERANCE};
 use ppuf_core::protocol::clock::{Clock, SystemClock};
 use ppuf_core::protocol::issuer::{ChallengeIssuer, RedeemError, DEFAULT_SESSION_TTL};
@@ -137,7 +135,6 @@ impl VerificationService {
         let mut recorder = MemoryRecorder::new();
         recorder.set_profiler(Arc::clone(&profiler));
         let recorder = Arc::new(recorder);
-        warm_start_preflight(recorder.as_ref());
         let health = HealthTracker::new(SloConfig::default());
         let flight = if config.flightrec_traces == 0 {
             FlightRecorder::disabled()
@@ -443,10 +440,7 @@ impl VerificationService {
     fn register(&self, device_id: String, model: PublicModel) -> Response {
         // the model arrived deserialized, so nothing has checked that its
         // parts agree; the verifier indexes by them
-        let space = match model
-            .check_shape()
-            .and_then(|()| ChallengeSpace::new(model.nodes(), model.grid().grid()))
-        {
+        let space = match model.check_shape().and_then(|()| model.grid().challenge_space()) {
             Ok(space) => space,
             Err(e) => {
                 return Response::error(ErrorKind::Malformed, format!("unusable model: {e}"));
@@ -637,45 +631,6 @@ fn outcome_label(outcome: RequestOutcome) -> &'static str {
     }
 }
 
-/// Linear 1 µS element for the startup preflight divider; zero for
-/// `dv ≤ 0` to satisfy the solver's incremental-passivity contract.
-#[derive(Debug, Clone, Copy)]
-struct PreflightResistor;
-
-impl TwoTerminal for PreflightResistor {
-    fn current(&self, dv: Volts, _temp: Celsius) -> Amps {
-        Amps(dv.value().max(0.0) * 1e-6)
-    }
-
-    fn conductance(&self, dv: Volts, _temp: Celsius) -> f64 {
-        if dv.value() <= 0.0 {
-            0.0
-        } else {
-            1e-6
-        }
-    }
-}
-
-/// Exercises the DC engine once at service construction: three solves of
-/// a trivial resistor divider against the service recorder, so the
-/// `analog.dc.warm_start_hits` / `analog.dc.warm_start_misses` counters
-/// (and one `analog.dc.residual_trace` convergence event) are live in
-/// `Stats` output from the first scrape — the serving path itself only
-/// runs residual-BFS flow checks, never the analog solver.
-fn warm_start_preflight(recorder: &MemoryRecorder) {
-    let mut circuit = Circuit::new(3);
-    for (from, to) in [(0, 1), (1, 2)] {
-        circuit.add_element(from, to, PreflightResistor).expect("preflight divider is well-formed");
-    }
-    let options = DcOptions { trace_residuals: true, ..DcOptions::default() };
-    let mut engine = DcEngine::new(EngineOptions { threads: 1, ..EngineOptions::default() });
-    for _ in 0..3 {
-        engine
-            .solve_traced(&circuit, 0, 2, Volts(1.0), &options, recorder)
-            .expect("preflight divider solves");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,7 +786,6 @@ mod tests {
             "ppuf_requests_total",
             "ppuf_cache_hits_total",
             "ppuf_cache_misses_total",
-            "ppuf_dc_warm_start_hits_total",
             "ppuf_pool_rejected_total",
             "ppuf_cache_entries",
             "ppuf_slo_health",
@@ -842,8 +796,6 @@ mod tests {
         ] {
             assert!(samples.contains_key(required), "missing {required} in:\n{body}");
         }
-        // the construction-time preflight already warmed the engine twice
-        assert!(samples["ppuf_dc_warm_start_hits_total"] >= 2.0);
     }
 
     #[test]
@@ -855,11 +807,7 @@ mod tests {
             other => panic!("expected json stats, got {other:?}"),
         };
         let report = ppuf_telemetry::Report::from_json(&body).expect("stats body parses");
-        assert_eq!(report.counters.get("analog.dc.warm_start_hits"), Some(&2));
-        assert!(
-            report.events.iter().any(|e| e.name == "analog.dc.residual_trace"),
-            "preflight must leave a convergence trace in the report"
-        );
+        assert_eq!(report.schema_version, ppuf_telemetry::SCHEMA_VERSION);
     }
 
     fn temp_dump_dir(tag: &str) -> String {
@@ -999,12 +947,12 @@ mod tests {
     fn profile_admin_command_serves_json_and_folded_renderings() {
         let clock = Arc::new(ManualClock::new());
         let (service, _ppuf) = service_with_device(ServiceConfig::default(), Arc::clone(&clock));
-        // the construction-time preflight already profiled three DC solves
+        // the registration's request span is already profiled
         let body = match service.handle(Request::Profile { format: ProfileFormat::Json }) {
             Response::Profile { format: ProfileFormat::Json, body } => body,
             other => panic!("expected json profile, got {other:?}"),
         };
-        assert!(body.contains("\"analog.dc.solve\""), "preflight solves are profiled:\n{body}");
+        assert!(body.contains("\"server.request\""), "requests are profiled:\n{body}");
         assert!(body.contains("\"count\""), "{body}");
 
         let folded = match service.handle(Request::Profile { format: ProfileFormat::Folded }) {
@@ -1018,8 +966,8 @@ mod tests {
             micros.parse::<u64>().unwrap_or_else(|_| panic!("bad self-micros in {line:?}"));
         }
         assert!(
-            folded.lines().any(|l| l.starts_with("analog.dc.solve;stamp;device_eval ")),
-            "device-eval leaf present:\n{folded}"
+            folded.lines().any(|l| l.starts_with("server.request ")),
+            "request path present:\n{folded}"
         );
         // the live stats report carries the same profile as a section
         let stats = match service.handle(Request::Stats { format: StatsFormat::Json }) {
@@ -1028,7 +976,7 @@ mod tests {
         };
         let report = ppuf_telemetry::Report::from_json(&stats).unwrap();
         assert!(!report.profile.is_empty(), "stats report carries the profile section");
-        assert!(report.profile.contains_key("analog.dc.solve"));
+        assert!(report.profile.contains_key("server.request"));
     }
 
     #[test]

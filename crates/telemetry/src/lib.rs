@@ -23,8 +23,8 @@
 //! assert_eq!(recorder.span_stats("demo.solve").unwrap().count, 1);
 //! ```
 //!
-//! For machine-readable output, [`JsonReporter`] wraps a [`MemoryRecorder`]
-//! and renders a schema-versioned [`report::Report`].
+//! For machine-readable output, [`MemoryRecorder::snapshot`] renders a
+//! schema-versioned [`report::Report`].
 
 pub mod events;
 pub mod flightrec;
@@ -43,7 +43,7 @@ pub use events::{Event, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use flightrec::{FlightRecorder, RecordedTrace, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES};
 pub use hist::{HistBucket, HistogramSnapshot, LogHistogram, HIST_BUCKET_COUNT, HIST_MIN_VALUE};
 pub use profile::{AllocScope, PathId, ProfileStats, Profiler};
-pub use report::{profile_to_json, JsonReporter, Report, ReportError, SCHEMA_VERSION};
+pub use report::{profile_to_json, Report, ReportError, SCHEMA_VERSION};
 pub use samples::{SampleSeries, SampleSummary};
 pub use trace::{
     assemble, next_trace_id, record_interval, record_root_interval, FinishedSpan, SpanContext,

@@ -36,8 +36,6 @@ const ALIASES: &[(&str, &str)] = &[
     ("server.cache.misses", "ppuf_cache_misses_total"),
     ("server.cache.evictions", "ppuf_cache_evictions_total"),
     ("server.pool.rejected", "ppuf_pool_rejected_total"),
-    ("analog.dc.warm_start_hits", "ppuf_dc_warm_start_hits_total"),
-    ("analog.dc.warm_start_misses", "ppuf_dc_warm_start_misses_total"),
 ];
 
 /// Counters emitted even when their recorder key was never touched, so
@@ -48,8 +46,6 @@ const WELL_KNOWN: &[&str] = &[
     "ppuf_cache_misses_total",
     "ppuf_cache_evictions_total",
     "ppuf_pool_rejected_total",
-    "ppuf_dc_warm_start_hits_total",
-    "ppuf_dc_warm_start_misses_total",
 ];
 
 /// Stable exposition name for a recorder counter key.
@@ -403,7 +399,7 @@ mod tests {
         let r = MemoryRecorder::new();
         r.counter_add("server.requests", 90);
         r.counter_add("server.cache.hits", 42);
-        r.counter_add("analog.dc.warm_start_hits", 2);
+        r.counter_add("server.connections", 2);
         r.counter_add("maxflow.dinic.bfs_passes", 7);
         r.observe("analog.dc.residual_norm", 1e-12);
         r.record_span("server.verify", Duration::from_millis(3));
@@ -415,7 +411,7 @@ mod tests {
         let text = exposition();
         assert!(text.contains("# TYPE ppuf_requests_total counter\nppuf_requests_total 90\n"));
         assert!(text.contains("ppuf_cache_hits_total 42\n"));
-        assert!(text.contains("ppuf_dc_warm_start_hits_total 2\n"));
+        assert!(text.contains("ppuf_connections_total 2\n"));
         // untouched well-known counters still show up as zeros
         assert!(text.contains("ppuf_cache_misses_total 0\n"));
         assert!(text.contains("ppuf_cache_evictions_total 0\n"));

@@ -1,6 +1,6 @@
 //! Schema-versioned JSON run reports.
 //!
-//! A [`Report`] is a snapshot of a [`MemoryRecorder`]
+//! A [`Report`] is a snapshot of a [`MemoryRecorder`](crate::MemoryRecorder)
 //! that renders to and parses from JSON without external dependencies, so
 //! downstream tooling (and the `telemetry_report` binary in `ppuf-bench`)
 //! can diff runs across commits.
@@ -26,7 +26,7 @@
 //! ```
 //!
 //! The `samples` section carries percentile summaries of raw
-//! [`SampleSeries`] data, and `hists` carries sparse
+//! [`SampleSeries`](crate::SampleSeries) data, and `hists` carries sparse
 //! [`HistogramSnapshot`]s of the bounded log-bucketed histograms (bucket
 //! counts are non-cumulative; edges follow the compile-time scheme in
 //! [`crate::hist`]). `events` is the drained
@@ -44,12 +44,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::path::Path;
-use std::time::Duration;
 
 use crate::hist::{HistBucket, HistogramSnapshot};
 use crate::profile::ProfileStats;
-use crate::{MemoryRecorder, Recorder, SampleSeries, SampleSummary, Summary};
+use crate::{SampleSummary, Summary};
 
 /// Version written into every report; parsers accept
 /// [`MIN_SCHEMA_VERSION`]..=[`SCHEMA_VERSION`] and reject the rest.
@@ -718,86 +716,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Recorder that aggregates in memory and finishes by writing a JSON
-/// [`Report`] — the producer side of `results/telemetry/*.json`.
-pub struct JsonReporter {
-    label: String,
-    recorder: MemoryRecorder,
-}
-
-impl JsonReporter {
-    /// Creates a reporter whose report will carry `label`.
-    pub fn new(label: impl Into<String>) -> Self {
-        JsonReporter { label: label.into(), recorder: MemoryRecorder::new() }
-    }
-
-    /// The aggregating recorder, e.g. to read counters back mid-run.
-    pub fn recorder(&self) -> &MemoryRecorder {
-        &self.recorder
-    }
-
-    /// Merges a raw [`SampleSeries`] into the report's `samples` section,
-    /// where its percentile summary will appear under `name`.
-    pub fn record_samples(&self, name: &str, series: &SampleSeries) {
-        self.recorder.record_samples(name, series);
-    }
-
-    /// Snapshots the current state as a [`Report`].
-    pub fn report(&self) -> Report {
-        self.recorder.snapshot(&self.label)
-    }
-
-    /// Writes the report as JSON to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.report().to_json())
-    }
-}
-
-impl Recorder for JsonReporter {
-    fn counter_add(&self, name: &str, delta: u64) {
-        self.recorder.counter_add(name, delta);
-    }
-
-    fn observe(&self, name: &str, value: f64) {
-        self.recorder.observe(name, value);
-    }
-
-    fn record_span(&self, name: &str, duration: Duration) {
-        self.recorder.record_span(name, duration);
-    }
-
-    fn warn(&self, message: &str) {
-        self.recorder.warn(message);
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.recorder.trace_enabled()
-    }
-
-    fn record_trace_span(&self, span: crate::FinishedSpan) {
-        self.recorder.record_trace_span(span);
-    }
-
-    fn events_enabled(&self) -> bool {
-        self.recorder.events_enabled()
-    }
-
-    fn record_event(&self, name: &str, values: &[f64]) {
-        self.recorder.record_event(name, values);
-    }
-
-    fn profiler(&self) -> Option<&crate::Profiler> {
-        self.recorder.profiler()
-    }
-}
-
 /// Minimal JSON reader used only by [`Report::from_json`]; kept private so
 /// the crate stays dependency-free.
 mod json {
@@ -1050,9 +968,11 @@ mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoryRecorder, Recorder, SampleSeries};
+    use std::time::Duration;
 
     fn sample_report() -> Report {
-        let reporter = JsonReporter::new("unit-test run");
+        let reporter = MemoryRecorder::new();
         reporter.counter_add("dc.newton_iterations", 42);
         reporter.counter_add("maxflow.augmenting_paths", 7);
         reporter.observe("dc.final_residual", 3.25e-11);
@@ -1069,7 +989,7 @@ mod tests {
             root.attr("kind", "SubmitAnswer");
             let _child = root.child("server.verify");
         }
-        reporter.report()
+        reporter.snapshot("unit-test run")
     }
 
     #[test]
@@ -1082,7 +1002,7 @@ mod tests {
 
     #[test]
     fn empty_report_round_trips() {
-        let report = JsonReporter::new("empty").report();
+        let report = MemoryRecorder::new().snapshot("empty");
         assert_eq!(Report::from_json(&report.to_json()).unwrap(), report);
     }
 
@@ -1230,18 +1150,5 @@ mod tests {
         assert_eq!(delta.get("dc.newton_iterations"), Some(&8));
         assert_eq!(delta.get("maxflow.augmenting_paths"), Some(&-7));
         assert_eq!(delta.get("fresh"), Some(&3));
-    }
-
-    #[test]
-    fn write_to_creates_directories() {
-        let dir = std::env::temp_dir().join("ppuf-telemetry-test").join("nested");
-        let path = dir.join("report.json");
-        let _ = std::fs::remove_file(&path);
-        let reporter = JsonReporter::new("io-test");
-        reporter.counter_add("k", 1);
-        reporter.write_to(&path).expect("write should succeed");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(Report::from_json(&text).unwrap(), reporter.report());
-        let _ = std::fs::remove_file(&path);
     }
 }
