@@ -26,7 +26,7 @@ use ppuf_bench::engine_profile::{
     grid_circuit, grid_edge_count, grid_variations, run_engine_smoke_profiled, time, SolverShape,
     BENCH_DIR, PROFILES_DIR, SUPPLY,
 };
-use ppuf_bench::report::write_json_report;
+use ppuf_bench::report::{write_json_report, write_telemetry_report};
 use ppuf_telemetry::{MemoryRecorder, SampleSeries};
 
 /// `engine.json`: the crossbar scaling matrix plus the grid workload
@@ -238,8 +238,9 @@ fn run_full(backend: LinearBackend, backend_label: &'static str) {
     let path = write_json_report("engine", &json, BENCH_DIR).expect("write engine.json");
     eprintln!("wrote {}", path.display());
     let snapshot = recorder.snapshot("engine_bench");
-    let telemetry = write_json_report("engine-telemetry", &snapshot.to_json(), BENCH_DIR)
-        .expect("write telemetry");
+    let json = serde_json::to_string_pretty(&snapshot).expect("a report always serializes");
+    let telemetry =
+        write_json_report("engine-telemetry", &json, BENCH_DIR).expect("write telemetry");
     eprintln!("wrote {}", telemetry.display());
 }
 
@@ -272,8 +273,7 @@ fn run_smoke(profile_mode: bool) {
         let mut recorder = MemoryRecorder::new();
         recorder.set_profiler(profiler);
         let report = recorder.snapshot("engine-smoke-profile");
-        let report_path = write_json_report("engine-smoke-profile", &report.to_json(), BENCH_DIR)
-            .expect("write profile report");
+        let report_path = write_telemetry_report(&report, BENCH_DIR).expect("write profile report");
         eprintln!("profile report -> {}", report_path.display());
     }
     let baseline_path = format!("{BENCH_DIR}/engine-smoke-baseline.json");

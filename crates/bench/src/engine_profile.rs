@@ -536,6 +536,34 @@ mod tests {
     }
 
     #[test]
+    fn truncated_baseline_is_an_error_not_a_disarmed_gate() {
+        let dir = std::env::temp_dir().join(format!("ppuf-truncated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        // a missing cold_seconds must not read as NaN, against which
+        // every comparison is false
+        std::fs::write(&path, r#"{"nodes": 200}"#).unwrap();
+        let path = path.to_string_lossy().into_owned();
+        let smoke = EngineSmoke {
+            nodes: 200,
+            cold_seconds: 1e9,
+            source_current_amps: 1e-3,
+            solver: None,
+            sparse_grid: None,
+            profile: Some(ProfileSummary {
+                device_eval_self_share: 0.0,
+                paths: 12,
+                warm_profiled_mean_seconds: 0.0034,
+                warm_unprofiled_mean_seconds: 0.0033,
+            }),
+        };
+        let err = check_smoke_baseline(&smoke, &path).unwrap_err();
+        assert!(err.contains("missing field `cold_seconds`"), "{err}");
+        assert!(check_eval_share_baseline(&smoke, &path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn smoke_json_round_trips() {
         let smoke = EngineSmoke {
             nodes: 200,

@@ -48,7 +48,8 @@ fn sanitize_stem(label: &str) -> String {
 ///
 /// Propagates filesystem errors from directory creation or the write.
 pub fn write_telemetry_report(report: &Report, dir: impl AsRef<Path>) -> io::Result<PathBuf> {
-    write_json_report(&report.label, &report.to_json(), dir)
+    let json = serde_json::to_string_pretty(report).expect("a report always serializes");
+    write_json_report(&report.label, &json, dir)
 }
 
 /// Prints a section header.
@@ -127,7 +128,7 @@ mod tests {
         let path = write_telemetry_report(&report, &dir).unwrap();
         assert_eq!(path.file_name().unwrap(), "bench_unit_test.json");
         let text = std::fs::read_to_string(&path).unwrap();
-        let restored = Report::from_json(&text).unwrap();
+        let restored: Report = serde_json::from_str(&text).unwrap();
         assert_eq!(restored, report);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -8,8 +8,10 @@
 //! Differences from real serde (all invisible to this workspace):
 //!
 //! - serialization goes through the owned [`Value`] tree, not a visitor;
-//! - maps with non-string keys serialize as sequences of `[key, value]`
-//!   pairs instead of erroring;
+//! - every map, string-keyed or not, serializes as a sequence of
+//!   `[key, value]` pairs (upstream writes string-keyed maps as objects
+//!   and errors on other keys); a type that must read and write a JSON
+//!   object builds the [`Value::Map`] itself;
 //! - no rename/skip/default attributes (the workspace uses none).
 
 use std::collections::{BTreeMap, HashMap};
@@ -96,6 +98,13 @@ pub trait Serialize {
 pub trait Deserialize<'de>: Sized {
     /// Rebuilds `Self` from a [`Value`] tree.
     fn from_value(value: &Value) -> Result<Self, Error>;
+
+    /// The value of a struct field absent from its map: an error naming
+    /// the field, except for `Option`, which reads as `None` — upstream's
+    /// rule. Derived impls call this for every missing field.
+    fn from_missing(field: &str) -> Result<Self, Error> {
+        Err(Error::custom(format!("missing field `{field}`")))
+    }
 }
 
 fn type_error<T>(expected: &str, got: &Value) -> Result<T, Error> {
@@ -231,6 +240,10 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
             Value::Null => Ok(None),
             other => T::from_value(other).map(Some),
         }
+    }
+
+    fn from_missing(_field: &str) -> Result<Self, Error> {
+        Ok(None)
     }
 }
 
@@ -443,5 +456,12 @@ mod tests {
         assert!(bool::from_value(&Value::Int(1)).is_err());
         assert!(u8::from_value(&Value::Int(300)).is_err());
         assert!(Vec::<u8>::from_value(&Value::Bool(false)).is_err());
+    }
+
+    #[test]
+    fn only_an_option_may_be_missing() {
+        assert_eq!(Option::<f64>::from_missing("x"), Ok(None));
+        let err = f64::from_missing("cold_seconds").unwrap_err();
+        assert!(err.to_string().contains("missing field `cold_seconds`"), "{err}");
     }
 }

@@ -9,6 +9,10 @@
 //! - enums with unit, newtype, tuple, and struct variants (externally
 //!   tagged, like real serde's default).
 //!
+//! A named field missing from its map reads through
+//! `Deserialize::from_missing`: an error, unless the field is an
+//! `Option`, as upstream does.
+//!
 //! Unsupported (compile error): generic type parameters and `#[serde(..)]`
 //! attributes. The workspace uses neither.
 
@@ -321,8 +325,10 @@ fn named_fields_constructor(path: &str, names: &[String], source: &str) -> Strin
         .iter()
         .map(|f| {
             format!(
-                "{f}: ::serde::Deserialize::from_value(\
-                 {source}.get({f:?}).unwrap_or(&::serde::Value::Null))?"
+                "{f}: match {source}.get({f:?}) {{\
+                     ::std::option::Option::Some(v) => ::serde::Deserialize::from_value(v)?,\
+                     ::std::option::Option::None => ::serde::Deserialize::from_missing({f:?})?,\
+                 }}"
             )
         })
         .collect();

@@ -367,8 +367,10 @@ impl Parser<'_> {
                                     return Err(Error("lone surrogate".into()));
                                 }
                                 let low = self.hex4()?;
-                                let combined =
-                                    0x10000 + ((code - 0xD800) << 10) + (low.wrapping_sub(0xDC00));
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return Err(Error("invalid surrogate pair".into()));
+                                }
+                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
                                 out.push(
                                     char::from_u32(combined)
                                         .ok_or_else(|| Error("invalid surrogate pair".into()))?,
@@ -479,7 +481,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for text in ["{", "[1,", "\"open", "tru", "1.2.3", "{\"a\" 1}", "[] []"] {
+        // a high surrogate followed by a non-low-surrogate escape
+        let bad_pair = r#""\ud800\u0041""#;
+        for text in ["{", "[1,", "\"open", "tru", "1.2.3", "{\"a\" 1}", "[] []", bad_pair] {
             assert!(parse_value(text).is_err(), "accepted {text:?}");
         }
     }

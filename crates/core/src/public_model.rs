@@ -117,8 +117,9 @@ impl PublicModel {
 
     /// Checks that the model's parts agree on its shape: the grid
     /// partition is a valid partition of exactly `nodes` nodes, each of
-    /// the four capacity vectors has one entry per edge, `n(n−1)`, and
-    /// every capacity is a finite non-negative number.
+    /// the four capacity vectors has one entry per edge, `n(n−1)`, every
+    /// capacity is a finite non-negative number, and so is the
+    /// comparator's resolution, with a finite offset and power.
     ///
     /// [`new`](Self::new) runs this check, but a model deserialized from
     /// an untrusted source has skipped it; check it before use, since
@@ -161,6 +162,20 @@ impl PublicModel {
                     )));
                 }
             }
+        }
+        // a NaN offset reads every comparison as `false`, and a NaN
+        // resolution opens no dead zone
+        let Comparator { offset, resolution, power } = self.comparator;
+        for (name, value) in [("offset", offset.value()), ("power", power.value())] {
+            if !value.is_finite() {
+                return Err(invalid(format!("comparator {name} is {value}, not a finite number")));
+            }
+        }
+        if unusable(resolution.value()) {
+            return Err(invalid(format!(
+                "comparator resolution is {}, not a finite non-negative number",
+                resolution.value()
+            )));
         }
         Ok(())
     }
@@ -412,6 +427,16 @@ mod tests {
             let err = PublicModel::new(4, grid, usable(), b, cmp()).unwrap_err();
             let expected = format!("network B bit-1 capacity of edge 7 (v2 -> v1) is {bad},");
             assert!(err.to_string().contains(&expected), "{err}");
+
+            let comparator = Comparator { resolution: Amps(bad), ..cmp() };
+            let err = PublicModel::new(4, grid, usable(), usable(), comparator).unwrap_err();
+            assert!(err.to_string().contains(&format!("resolution is {bad},")), "{err}");
+        }
+        for comparator in [
+            Comparator { offset: Amps(f64::NAN), ..cmp() },
+            Comparator { power: ppuf_analog::units::Watts(f64::INFINITY), ..cmp() },
+        ] {
+            assert!(PublicModel::new(4, grid, usable(), usable(), comparator).is_err());
         }
         // zero, of either sign, is a capacity
         let mut zero = usable();

@@ -37,7 +37,7 @@ use serde::{Deserialize, Serialize};
 
 use ppuf_analog::units::Seconds;
 use ppuf_analog::variation::Environment;
-use ppuf_core::device::{Ppuf, PpufConfig};
+use ppuf_core::device::{Ppuf, PpufConfig, PpufExecutor};
 use ppuf_core::protocol::auth::{prove, ProverAnswer};
 use ppuf_telemetry::{
     next_trace_id, prometheus, HistogramSnapshot, LogHistogram, SampleSummary, TraceId,
@@ -472,7 +472,8 @@ struct StreamState {
 
 /// The cohort traffic source/sink plugged into [`mux::drive`].
 struct CohortDriver<'a> {
-    ppuf: &'a Ppuf,
+    /// The device at nominal conditions, characterized once per run.
+    executor: PpufExecutor<'a>,
     wire: WireFlavor,
     pipeline: usize,
     roles: Vec<Role>,
@@ -487,7 +488,7 @@ struct CohortDriver<'a> {
 }
 
 impl<'a> CohortDriver<'a> {
-    fn new(config: &LoadgenConfig, ppuf: &'a Ppuf) -> Self {
+    fn new(config: &LoadgenConfig, executor: PpufExecutor<'a>) -> Self {
         let mut roles = Vec::with_capacity(config.connections());
         roles.extend(std::iter::repeat_n(Role::Honest, config.honest_connections));
         roles.extend(std::iter::repeat_n(Role::Impostor, config.impostor_connections));
@@ -502,7 +503,7 @@ impl<'a> CohortDriver<'a> {
             .collect::<Vec<_>>();
         let remaining = streams.len();
         CohortDriver {
-            ppuf,
+            executor,
             wire: config.wire,
             pipeline: config.pipeline,
             roles,
@@ -666,7 +667,7 @@ impl Driver for CohortDriver<'_> {
         match phase {
             Phase::AwaitChallenge { round_start } => match response {
                 Response::Challenge { nonce, challenge, .. } => {
-                    match prove(&self.ppuf.executor(Environment::NOMINAL), &challenge) {
+                    match prove(&self.executor, &challenge) {
                         Ok(answer) => {
                             let due = match role {
                                 Role::Impostor => round_start + self.impostor_delay,
@@ -837,7 +838,9 @@ fn drive_cohorts(
 ) -> Result<(LoadgenReport, Vec<u64>), String> {
     let ppuf = Ppuf::generate(PpufConfig::paper(config.nodes, config.grid), config.seed)
         .map_err(|e| format!("device generation failed: {e}"))?;
-    let model = ppuf.public_model().map_err(|e| format!("model publication failed: {e}"))?;
+    // the server's `Register` checks the model's shape
+    let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model().clone();
 
     // admin traffic rides the blocking wire-1.x client
     let mut registrar =
@@ -853,7 +856,7 @@ fn drive_cohorts(
     let scrape_before = scrape_prometheus(&mut registrar)?;
     drop(registrar);
 
-    let mut driver = CohortDriver::new(config, &ppuf);
+    let mut driver = CohortDriver::new(config, executor);
     let mux_config = MuxConfig {
         connections: config.connections(),
         pipeline: config.pipeline,

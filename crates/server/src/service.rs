@@ -31,6 +31,7 @@ use ppuf_telemetry::{
     next_trace_id, prometheus, record_interval, FlightRecorder, MemoryRecorder, Profiler, Recorder,
     Report, SpanContext, TraceId, TracedSpan, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES,
 };
+use serde::Serialize;
 
 use crate::cache::{answer_fingerprint, challenge_fingerprint, VerificationCache};
 use crate::health::{HealthTracker, RequestOutcome, SloConfig};
@@ -328,8 +329,8 @@ impl VerificationService {
             .map(|d| d.as_secs())
             .unwrap_or(0);
         let path = std::path::Path::new(dir).join(format!("{label}-{stamp}-{seq:03}.json"));
-        let written =
-            std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, report.to_json()));
+        let text = serde_json::to_string_pretty(report).expect("a report always serializes");
+        let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text));
         match written {
             Ok(()) => {
                 self.recorder.counter_add("flightrec.dumps.written", 1);
@@ -393,7 +394,12 @@ impl VerificationService {
     /// pipe into `flamegraph.pl`.
     fn profile_response(&self, format: ProfileFormat) -> Response {
         let body = match format {
-            ProfileFormat::Json => ppuf_telemetry::profile_to_json(&self.profiler.snapshot()),
+            ProfileFormat::Json => {
+                // an object keyed by call path, like a report's `profile`
+                let paths = self.profiler.snapshot().into_iter();
+                let object = serde::Value::Map(paths.map(|(p, s)| (p, s.to_value())).collect());
+                serde_json::to_string_pretty(&object).expect("a profile always serializes")
+            }
             ProfileFormat::Folded => self.profiler.fold(),
         };
         Response::Profile { format, body }
@@ -417,7 +423,9 @@ impl VerificationService {
     fn stats(&self, format: StatsFormat) -> Response {
         let report = self.recorder.snapshot("ppuf-server live stats");
         let body = match format {
-            StatsFormat::Json => report.to_json(),
+            StatsFormat::Json => {
+                serde_json::to_string_pretty(&report).expect("a report always serializes")
+            }
             StatsFormat::Prometheus => {
                 let health = self.health.assess(self.clock.now().value());
                 let mut gauges = vec![
@@ -806,7 +814,7 @@ mod tests {
             Response::Stats { format: StatsFormat::Json, body } => body,
             other => panic!("expected json stats, got {other:?}"),
         };
-        let report = ppuf_telemetry::Report::from_json(&body).expect("stats body parses");
+        let report = serde_json::from_str::<Report>(&body).expect("stats body parses");
         assert_eq!(report.schema_version, ppuf_telemetry::SCHEMA_VERSION);
     }
 
@@ -900,7 +908,7 @@ mod tests {
         let name = dumps[0].file_name().unwrap().to_string_lossy().into_owned();
         assert!(name.starts_with("failure-burst-"), "{name}");
         let body = std::fs::read_to_string(&dumps[0]).unwrap();
-        let report = ppuf_telemetry::Report::from_json(&body).expect("dump parses as a report");
+        let report = serde_json::from_str::<Report>(&body).expect("dump parses as a report");
         assert!(!report.traces.is_empty(), "dump must retain the rejected request traces");
         assert!(report.counters.get("flightrec.trace.rejected_flow").copied().unwrap_or(0) >= 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -920,7 +928,7 @@ mod tests {
                 assert_eq!(traces, 1, "one submit round retained");
                 let path = path.expect("dump directory is configured");
                 let body = std::fs::read_to_string(&path).unwrap();
-                let report = ppuf_telemetry::Report::from_json(&body).unwrap();
+                let report = serde_json::from_str::<Report>(&body).unwrap();
                 assert_eq!(report.traces.len(), 1);
             }
             other => panic!("expected dump ack, got {other:?}"),
@@ -974,7 +982,7 @@ mod tests {
             Response::Stats { body, .. } => body,
             other => panic!("expected stats, got {other:?}"),
         };
-        let report = ppuf_telemetry::Report::from_json(&stats).unwrap();
+        let report = serde_json::from_str::<Report>(&stats).unwrap();
         assert!(!report.profile.is_empty(), "stats report carries the profile section");
         assert!(report.profile.contains_key("server.request"));
     }

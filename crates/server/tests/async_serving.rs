@@ -312,13 +312,14 @@ fn deeply_nested_json_is_refused_and_serving_continues() {
     }
 }
 
-/// A `Register` model whose parts disagree on its shape, or that
-/// publishes a capacity no edge can have, arrives deserialized, so
-/// `PublicModel::new` never checked it: the service must refuse it before
-/// building a verifier that would index past its vectors or blame every
-/// answer on the prover. Four such models (more than the two dispatch
-/// threads) are each refused with `Malformed`, leave no device behind for
-/// a `SubmitAnswer`, and leave the server answering.
+/// A `Register` model whose parts disagree on its shape, that publishes
+/// a capacity no edge can have, or whose comparator parameters are not
+/// numbers arrives deserialized, so `PublicModel::new` never checked it:
+/// the service must refuse it before building a verifier that would
+/// index past its vectors or blame every answer on the prover. Five such
+/// models (more than the two dispatch threads) are each refused with
+/// `Malformed`, leave no device behind for a `SubmitAnswer`, and leave
+/// the server answering.
 #[test]
 fn inconsistent_register_models_are_refused_and_serving_continues() {
     let server = bind_async(AsyncConfig::default());
@@ -339,11 +340,20 @@ fn inconsistent_register_models_are_refused_and_serving_continues() {
         let end = start + text[start..].find(',').expect("two entries");
         format!("{}-1.0{}", &text[..start], &text[end..])
     });
+    // a comparator of nulls, which read back as NaN
+    let comparator = json.find(r#""comparator":{"#).expect("comparator") + r#""comparator":"#.len();
+    let comparator_end = comparator + json[comparator..].find('}').expect("closing brace") + 1;
+    let nulled = format!(
+        r#"{}{{"offset":null,"resolution":null,"power":null}}{}"#,
+        &json[..comparator],
+        &json[comparator_end..]
+    );
     let tampered = [
         json.replacen(head, r#"{"nodes":7,"grid":{"nodes":6,"#, 1),
         json.replacen(head, r#"{"nodes":7,"grid":{"nodes":7,"#, 1),
         format!("{}{}", &json[..bit1], &json[first + 1..]),
         negative,
+        nulled,
     ];
 
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");

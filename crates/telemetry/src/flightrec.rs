@@ -278,7 +278,8 @@ mod tests {
         // keys sort chronologically because the seq prefix is zero-padded
         let keys: Vec<&String> = report.traces.keys().collect();
         assert!(keys[0] < keys[1]);
-        let back = Report::from_json(&report.to_json()).expect("dump must round-trip");
+        let text = serde_json::to_string_pretty(&report).expect("a report always serializes");
+        let back: Report = serde_json::from_str(&text).expect("dump must round-trip");
         assert_eq!(back, report);
     }
 

@@ -3,7 +3,8 @@
 //! [`Recorder`] trait whose default implementation ([`NoopRecorder`]) costs
 //! nothing.
 //!
-//! The crate is dependency-free. Instrumented code reports aggregates at
+//! The crate's one dependency is `serde`, which gives the report types
+//! their JSON form. Instrumented code reports aggregates at
 //! *solve granularity* — a solver counts its iterations in locals and calls
 //! the recorder once per solve — so the dynamic dispatch here never sits on
 //! a hot inner loop.
@@ -24,7 +25,8 @@
 //! ```
 //!
 //! For machine-readable output, [`MemoryRecorder::snapshot`] renders a
-//! schema-versioned [`report::Report`].
+//! schema-versioned [`report::Report`], which `serde_json` writes and
+//! reads.
 
 pub mod events;
 pub mod flightrec;
@@ -39,11 +41,13 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use serde::{Deserialize, Serialize};
+
 pub use events::{Event, EventLog, DEFAULT_EVENT_CAPACITY};
 pub use flightrec::{FlightRecorder, RecordedTrace, DEFAULT_FLIGHT_EVENTS, DEFAULT_FLIGHT_TRACES};
 pub use hist::{HistBucket, HistogramSnapshot, LogHistogram, HIST_BUCKET_COUNT, HIST_MIN_VALUE};
 pub use profile::{AllocScope, PathId, ProfileStats, Profiler};
-pub use report::{profile_to_json, Report, ReportError, SCHEMA_VERSION};
+pub use report::{Report, SCHEMA_VERSION};
 pub use samples::{SampleSeries, SampleSummary};
 pub use trace::{
     assemble, next_trace_id, record_interval, record_root_interval, FinishedSpan, SpanContext,
@@ -189,7 +193,7 @@ impl Drop for Span<'_> {
 ///
 /// Enough to answer "how many, how big on average, how bad in the worst
 /// case" without storing samples.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Summary {
     /// Number of recorded samples.
     pub count: u64,

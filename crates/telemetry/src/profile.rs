@@ -50,6 +50,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize};
+
 use crate::trace::{FinishedSpan, SpanId, TraceNode};
 
 /// Separator between call-path segments, chosen to match the folded-stack
@@ -68,7 +70,7 @@ pub struct PathId(u32);
 
 /// Aggregated statistics for one call path, as exported in report
 /// `profile` sections.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ProfileStats {
     /// Number of times the path was recorded.
     pub count: u64,

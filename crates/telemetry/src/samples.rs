@@ -7,6 +7,8 @@
 //! (one `f64` each); at load-test scales (≤ millions of requests) that is
 //! a few megabytes, and exact order statistics beat sketch error bars.
 
+use serde::{Deserialize, Serialize};
+
 /// An accumulating series of numeric samples (e.g. latencies in seconds).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleSeries {
@@ -14,7 +16,7 @@ pub struct SampleSeries {
 }
 
 /// Summary statistics of a [`SampleSeries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SampleSummary {
     /// Number of samples.
     pub count: usize,
@@ -103,62 +105,6 @@ impl SampleSeries {
             p95: nearest_rank(&sorted, 0.95),
             p99: nearest_rank(&sorted, 0.99),
         })
-    }
-}
-
-// With the `serde` feature, SampleSummary embeds directly in wire-protocol
-// message types. Impls are hand-written because the struct predates the
-// feature and must keep compiling without it.
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::SampleSummary;
-    use serde::{Deserialize, Error, Serialize, Value};
-
-    impl Serialize for SampleSummary {
-        fn to_value(&self) -> Value {
-            Value::Map(vec![
-                ("count".to_string(), (self.count as u64).to_value()),
-                ("min".to_string(), self.min.to_value()),
-                ("max".to_string(), self.max.to_value()),
-                ("mean".to_string(), self.mean.to_value()),
-                ("p50".to_string(), self.p50.to_value()),
-                ("p95".to_string(), self.p95.to_value()),
-                ("p99".to_string(), self.p99.to_value()),
-            ])
-        }
-    }
-
-    impl<'de> Deserialize<'de> for SampleSummary {
-        fn from_value(value: &Value) -> Result<Self, Error> {
-            let field = |key: &str| {
-                value
-                    .get(key)
-                    .ok_or_else(|| Error::custom(format!("SampleSummary missing field {key:?}")))
-            };
-            Ok(SampleSummary {
-                count: u64::from_value(field("count")?)? as usize,
-                min: f64::from_value(field("min")?)?,
-                max: f64::from_value(field("max")?)?,
-                mean: f64::from_value(field("mean")?)?,
-                p50: f64::from_value(field("p50")?)?,
-                p95: f64::from_value(field("p95")?)?,
-                p99: f64::from_value(field("p99")?)?,
-            })
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn summary_round_trips_through_the_value_model() {
-            let mut series = crate::SampleSeries::new();
-            series.extend((1..=100).map(f64::from));
-            let summary = series.summary().unwrap();
-            let back = SampleSummary::from_value(&summary.to_value()).unwrap();
-            assert_eq!(back, summary);
-        }
     }
 }
 
