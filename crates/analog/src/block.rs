@@ -226,6 +226,18 @@ pub struct BuildingBlock {
     variation: BlockVariation,
 }
 
+/// The terms of a block's inverse curve that depend only on temperature:
+/// the diodes' thermal voltage, the card's `k_eff` and each transistor's
+/// threshold. A forward root-find evaluates the inverse ≈ 15 times at one
+/// temperature, so it evaluates these once (a square root and a division
+/// among them).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TempTerms {
+    vt: Volts,
+    k: f64,
+    vth: [Volts; 4],
+}
+
 impl BuildingBlock {
     /// Creates a nominal (variation-free) block with the default
     /// technology card.
@@ -282,59 +294,71 @@ impl BuildingBlock {
         self.mos.with_delta_vth(self.variation.delta_vth[index])
     }
 
+    /// The inverse curve's temperature terms at `temp`, evaluated once so
+    /// that every inverse evaluation of a forward root-find shares them.
+    pub(crate) fn temp_terms(&self, temp: Celsius) -> TempTerms {
+        TempTerms {
+            vt: self.diode.thermal_voltage(temp),
+            k: self.mos.k_eff(temp),
+            vth: std::array::from_fn(|idx| self.transistor(idx).vth(temp)),
+        }
+    }
+
     /// Composite inverse curve: total terminal voltage needed to carry
     /// current `i` (infinite if the stack cannot carry `i`).
     ///
     /// This is the sum of the element inverses; each element inverse is
     /// closed-form, so the result is exact up to floating point.
     pub fn voltage_for_current(&self, i: Amps, temp: Celsius) -> Volts {
+        self.voltage_at(i, &self.temp_terms(temp))
+    }
+
+    /// [`voltage_for_current`](Self::voltage_for_current) at temperature
+    /// terms already evaluated: the same expressions in the same order, so
+    /// the same bits.
+    pub(crate) fn voltage_at(&self, i: Amps, t: &TempTerms) -> Volts {
         if i.value() <= 0.0 {
             return Volts(0.0);
         }
-        let diodes = self.diode.voltage_for_current(i, temp) * 2.0;
+        let diodes = self.diode.voltage_for_current_vt(i, t.vt) * 2.0;
         let stacks = match self.design {
-            BlockDesign::Plain => self.plain_stack_voltage(i, self.bias.vgs0, 0, temp),
-            BlockDesign::SingleSd => self.single_sd_voltage(i, self.bias.vgs0, 0, temp),
-            BlockDesign::DoubleSd => self.double_sd_voltage(i, self.bias.vgs0, temp, [0, 1]),
+            BlockDesign::Plain => self.vds(i, self.bias.vgs0, 0, t),
+            BlockDesign::SingleSd => self.single_sd_voltage(i, self.bias.vgs0, 0, t),
+            BlockDesign::DoubleSd => self.double_sd_voltage(i, self.bias.vgs0, t, [0, 1]),
             BlockDesign::Serial => {
-                let a = self.double_sd_voltage(i, self.bias.vgs0, temp, [0, 1]);
-                let b = self.double_sd_voltage(i, self.bias.vgs1(), temp, [2, 3]);
+                let a = self.double_sd_voltage(i, self.bias.vgs0, t, [0, 1]);
+                let b = self.double_sd_voltage(i, self.bias.vgs1(), t, [2, 3]);
                 a + b
             }
         };
         diodes + stacks
     }
 
-    /// Fig 2(a): bare transistor, gate at `vgs` above the stack bottom.
-    fn plain_stack_voltage(&self, i: Amps, vgs: Volts, idx: usize, temp: Celsius) -> Volts {
-        self.transistor(idx).vds_for_current(i, vgs, temp).unwrap_or(Volts(f64::INFINITY))
+    /// `V_ds` transistor `idx` needs to carry `i` with its gate `vgs` above
+    /// its source (infinite if it cannot) — Fig 2(a)'s whole stack.
+    fn vds(&self, i: Amps, vgs: Volts, idx: usize, t: &TempTerms) -> Volts {
+        self.mos.vds_for_overdrive(i, vgs - t.vth[idx], t.k).unwrap_or(Volts(f64::INFINITY))
     }
 
     /// Fig 2(b): M(idx) degenerated by R1; gate referenced to stack bottom,
     /// so the R1 drop subtracts from the effective `V_gs`.
-    fn single_sd_voltage(&self, i: Amps, vgs: Volts, idx: usize, temp: Celsius) -> Volts {
+    fn single_sd_voltage(&self, i: Amps, vgs: Volts, idx: usize, t: &TempTerms) -> Volts {
         let vr = self.r1.voltage_for_current(i);
         let vgs_eff = vgs - vr;
-        let vds =
-            self.transistor(idx).vds_for_current(i, vgs_eff, temp).unwrap_or(Volts(f64::INFINITY));
-        vds + vr
+        self.vds(i, vgs_eff, idx, t) + vr
     }
 
     /// Fig 2(c): M(idx[0]) rides on the M(idx[1]) + R1 sub-stack; its gate
     /// sits `V_b` above the lower gate, both referenced to the stack
     /// bottom. Rising lower-stack voltage eats M1's effective `V_gs` —
     /// that is the second, multiplicative level of slope suppression.
-    fn double_sd_voltage(&self, i: Amps, vgs: Volts, temp: Celsius, idx: [usize; 2]) -> Volts {
-        let lower = self.single_sd_voltage(i, vgs, idx[1], temp);
+    fn double_sd_voltage(&self, i: Amps, vgs: Volts, t: &TempTerms, idx: [usize; 2]) -> Volts {
+        let lower = self.single_sd_voltage(i, vgs, idx[1], t);
         if !lower.is_finite() {
             return lower;
         }
         let vgs_upper = vgs + self.bias.vb - lower;
-        let vds_upper = self
-            .transistor(idx[0])
-            .vds_for_current(i, vgs_upper, temp)
-            .unwrap_or(Volts(f64::INFINITY));
-        vds_upper + lower
+        self.vds(i, vgs_upper, idx[0], t) + lower
     }
 
     /// Ideal saturation current of one degenerated stack at gate bias
@@ -344,13 +368,12 @@ impl BuildingBlock {
     /// This is what the public simulation model publishes as the edge
     /// capacity; the SCE residual slope is deliberately excluded (Fig 6
     /// measures how little that omission costs).
-    fn stack_capacity(&self, vgs: Volts, lower_idx: usize, temp: Celsius) -> Amps {
-        let mos = self.transistor(lower_idx);
-        let vov0 = mos.overdrive(vgs, temp).value();
+    fn stack_capacity(&self, vgs: Volts, lower_idx: usize, t: &TempTerms) -> Amps {
+        let vov0 = (vgs - t.vth[lower_idx]).value();
         if vov0 <= 0.0 {
             return Amps(0.0);
         }
-        let k = mos.k_eff(temp);
+        let k = t.k;
         let r = match self.design {
             BlockDesign::Plain => 0.0,
             _ => self.r1.resistance.value(),
@@ -377,13 +400,19 @@ impl BuildingBlock {
     /// attacker observing input-1 responses learns nothing about stack B's
     /// variation (paper Requirement 3).
     pub fn saturation_current(&self, temp: Celsius) -> Amps {
+        self.capacity(&self.temp_terms(temp))
+    }
+
+    /// [`saturation_current`](Self::saturation_current) at evaluated
+    /// temperature terms.
+    fn capacity(&self, t: &TempTerms) -> Amps {
         match self.design {
             BlockDesign::Serial => {
-                let a = self.stack_capacity(self.bias.vgs0, 1, temp);
-                let b = self.stack_capacity(self.bias.vgs1(), 3, temp);
+                let a = self.stack_capacity(self.bias.vgs0, 1, t);
+                let b = self.stack_capacity(self.bias.vgs1(), 3, t);
                 a.min(b)
             }
-            _ => self.stack_capacity(self.bias.vgs0, 1.min(self.transistor_count() - 1), temp),
+            _ => self.stack_capacity(self.bias.vgs0, 1.min(self.transistor_count() - 1), t),
         }
     }
 
@@ -424,16 +453,22 @@ impl BuildingBlock {
         if dv <= 0.0 {
             return Amps(0.0);
         }
+        Amps(self.solve_cold(dv, &self.temp_terms(temp)))
+    }
+
+    /// [`solve_current`](Self::solve_current) for `dv > 0` at evaluated
+    /// temperature terms.
+    fn solve_cold(&self, dv: f64, t: &TempTerms) -> f64 {
         // bracket: start at the knee, double until V(hi) >= dv
-        let mut hi = self.saturation_current(temp).value();
+        let mut hi = self.capacity(t).value();
         if hi <= 0.0 {
             hi = 1e-12; // cutoff stack: V(any i > 0) is infinite
         }
-        let mut f_hi = self.voltage_for_current(Amps(hi), temp).value() - dv;
+        let mut f_hi = self.voltage_at(Amps(hi), t).value() - dv;
         let mut guard = 0;
         while f_hi < 0.0 {
             hi *= 2.0;
-            f_hi = self.voltage_for_current(Amps(hi), temp).value() - dv;
+            f_hi = self.voltage_at(Amps(hi), t).value() - dv;
             guard += 1;
             if guard > 120 {
                 break; // absurdly conductive; accept hi as bracket
@@ -441,7 +476,7 @@ impl BuildingBlock {
         }
         let lo = 0.0f64;
         let f_lo = -dv; // V(0) = 0
-        Amps(self.illinois_refine(lo, f_lo, hi, f_hi, dv, temp))
+        self.illinois_refine(lo, f_lo, hi, f_hi, dv, t)
     }
 
     /// Illinois refinement of a bracket `V(lo) < dv ≤ V(hi)` down to the
@@ -455,7 +490,7 @@ impl BuildingBlock {
         mut hi: f64,
         mut f_hi: f64,
         dv: f64,
-        temp: Celsius,
+        t: &TempTerms,
     ) -> f64 {
         let mut side = 0i8;
         for _ in 0..90 {
@@ -473,7 +508,7 @@ impl BuildingBlock {
             } else {
                 0.5 * (lo + hi)
             };
-            let fm = self.voltage_for_current(Amps(mid), temp).value() - dv;
+            let fm = self.voltage_at(Amps(mid), t).value() - dv;
             if fm < 0.0 {
                 lo = mid;
                 f_lo = fm;
@@ -510,14 +545,15 @@ impl BuildingBlock {
     ///
     /// [`solve_current`]: Self::solve_current
     fn solve_current_near(&self, dv: f64, near: f64, temp: Celsius) -> f64 {
-        if near <= 0.0 {
-            if dv <= 0.0 {
-                return 0.0;
-            }
-            return self.solve_current(Volts(dv), temp).value();
+        if dv <= 0.0 {
+            return 0.0;
         }
-        let v_near = self.voltage_for_current(Amps(near), temp).value();
-        self.solve_current_anchored(dv, near, v_near, temp)
+        let t = self.temp_terms(temp);
+        if near <= 0.0 {
+            return self.solve_cold(dv, &t);
+        }
+        let v_near = self.voltage_at(Amps(near), &t).value();
+        self.solve_current_anchored(dv, near, v_near, &t)
     }
 
     /// [`solve_current_near`] with the seed's inverse voltage `v_near`
@@ -525,12 +561,12 @@ impl BuildingBlock {
     /// one seed and shares this evaluation between them.
     ///
     /// [`solve_current_near`]: Self::solve_current_near
-    fn solve_current_anchored(&self, dv: f64, near: f64, v_near: f64, temp: Celsius) -> f64 {
+    fn solve_current_anchored(&self, dv: f64, near: f64, v_near: f64, t: &TempTerms) -> f64 {
         if dv <= 0.0 {
             return 0.0;
         }
         if near <= 0.0 || !v_near.is_finite() {
-            return self.solve_current(Volts(dv), temp).value();
+            return self.solve_cold(dv, t);
         }
         let f_near = v_near - dv;
         if f_near == 0.0 {
@@ -544,7 +580,7 @@ impl BuildingBlock {
             let mut step = 1.01;
             loop {
                 hi = lo * step;
-                f_hi = self.voltage_for_current(Amps(hi), temp).value() - dv;
+                f_hi = self.voltage_at(Amps(hi), t).value() - dv;
                 if f_hi >= 0.0 {
                     break;
                 }
@@ -552,7 +588,7 @@ impl BuildingBlock {
                 f_lo = f_hi;
                 step *= 4.0;
                 if step > 1e6 {
-                    return self.solve_current(Volts(dv), temp).value();
+                    return self.solve_cold(dv, t);
                 }
             }
         } else {
@@ -562,7 +598,7 @@ impl BuildingBlock {
             let mut step = 1.01;
             loop {
                 lo = hi / step;
-                f_lo = self.voltage_for_current(Amps(lo), temp).value() - dv;
+                f_lo = self.voltage_at(Amps(lo), t).value() - dv;
                 if f_lo <= 0.0 {
                     break;
                 }
@@ -577,7 +613,7 @@ impl BuildingBlock {
                 step *= 4.0;
             }
         }
-        self.illinois_refine(lo, f_lo, hi, f_hi, dv, temp)
+        self.illinois_refine(lo, f_lo, hi, f_hi, dv, t)
     }
 
     /// Small-signal conductance from the inverse derivative: `g = 1/V′(i)`
@@ -597,8 +633,9 @@ impl BuildingBlock {
             return 0.0;
         }
         let h = i * 1e-7;
-        let vp = self.voltage_for_current(Amps(i + h), temp).value();
-        let vm = self.voltage_for_current(Amps(i - h), temp).value();
+        let t = self.temp_terms(temp);
+        let vp = self.voltage_at(Amps(i + h), &t).value();
+        let vm = self.voltage_at(Amps(i - h), &t).value();
         if !vp.is_finite() || !vm.is_finite() || vp <= vm {
             return 0.0;
         }
@@ -618,9 +655,10 @@ impl BuildingBlock {
             let i_lo = self.solve_current(Volts(dv - h), temp).value();
             return ((i_hi - i_lo) / (2.0 * h)).max(0.0);
         }
-        let v_seed = self.voltage_for_current(Amps(seed), temp).value();
-        let i_hi = self.solve_current_anchored(dv + h, seed, v_seed, temp);
-        let i_lo = self.solve_current_anchored(dv - h, seed, v_seed, temp);
+        let t = self.temp_terms(temp);
+        let v_seed = self.voltage_at(Amps(seed), &t).value();
+        let i_hi = self.solve_current_anchored(dv + h, seed, v_seed, &t);
+        let i_lo = self.solve_current_anchored(dv - h, seed, v_seed, &t);
         ((i_hi - i_lo) / (2.0 * h)).max(0.0)
     }
 }
@@ -814,6 +852,122 @@ mod tests {
         .with_variation(BlockVariation::uniform(Volts(0.3)));
         // vgs0 − vth(0.6) < 0 on stack A → whole series path blocked
         assert_eq!(b.current(Volts(2.0), T).value(), 0.0);
+    }
+
+    /// The inverse curve and the ideal capacity as they read before their
+    /// temperature terms were hoisted: every term recomputed on each call.
+    /// Kept as the oracle the hoisted code must match bit for bit.
+    fn reference_inverse(b: &BuildingBlock, i: Amps, temp: Celsius) -> Volts {
+        if i.value() <= 0.0 {
+            return Volts(0.0);
+        }
+        // MosTransistor::vds_for_current with its per-call terms
+        let vds = |idx: usize, vgs: Volts| {
+            let mos = b.transistor(idx);
+            let i = i.value();
+            let vov = (vgs - mos.vth(temp)).value();
+            if vov <= 0.0 {
+                return Volts(f64::INFINITY);
+            }
+            let k = mos.k_eff(temp);
+            let isat = 0.5 * k * vov * vov;
+            if i < isat {
+                let disc = vov * vov - 2.0 * i / k;
+                Volts(vov - disc.max(0.0).sqrt())
+            } else if mos.lambda > 0.0 {
+                Volts(vov + (i / isat - 1.0) / mos.lambda)
+            } else if i == isat {
+                Volts(vov)
+            } else {
+                Volts(f64::INFINITY)
+            }
+        };
+        let single_sd = |vgs: Volts, idx: usize| {
+            let vr = b.r1.voltage_for_current(i);
+            vds(idx, vgs - vr) + vr
+        };
+        let double_sd = |vgs: Volts, idx: [usize; 2]| {
+            let lower = single_sd(vgs, idx[1]);
+            if !lower.is_finite() {
+                return lower;
+            }
+            vds(idx[0], vgs + b.bias.vb - lower) + lower
+        };
+        let vt = b.diode.thermal_voltage(temp).value();
+        let diode = Volts(vt * (1.0 + i.value() / b.diode.saturation_current.value()).ln());
+        let stacks = match b.design {
+            BlockDesign::Plain => vds(0, b.bias.vgs0),
+            BlockDesign::SingleSd => single_sd(b.bias.vgs0, 0),
+            BlockDesign::DoubleSd => double_sd(b.bias.vgs0, [0, 1]),
+            BlockDesign::Serial => {
+                double_sd(b.bias.vgs0, [0, 1]) + double_sd(b.bias.vgs1(), [2, 3])
+            }
+        };
+        diode * 2.0 + stacks
+    }
+
+    fn reference_capacity(b: &BuildingBlock, temp: Celsius) -> Amps {
+        let stack = |vgs: Volts, idx: usize| {
+            let mos = b.transistor(idx);
+            let vov0 = mos.overdrive(vgs, temp).value();
+            if vov0 <= 0.0 {
+                return Amps(0.0);
+            }
+            let k = mos.k_eff(temp);
+            let r = match b.design {
+                BlockDesign::Plain => 0.0,
+                _ => b.r1.resistance.value(),
+            };
+            if r == 0.0 {
+                return Amps(0.5 * k * vov0 * vov0);
+            }
+            let a = 0.5 * k * r;
+            let bq = -(2.0 * a * vov0 + 1.0);
+            let c = a * vov0 * vov0;
+            let disc = (bq * bq - 4.0 * a * c).max(0.0).sqrt();
+            Amps(((-bq - disc) / (2.0 * a) / r).max(0.0))
+        };
+        match b.design {
+            BlockDesign::Serial => stack(b.bias.vgs0, 1).min(stack(b.bias.vgs1(), 3)),
+            _ => stack(b.bias.vgs0, 1.min(b.transistor_count() - 1)),
+        }
+    }
+
+    #[test]
+    fn hoisted_inverse_is_bitwise_the_per_call_inverse() {
+        use rand::Rng;
+        let mut rng = crate::montecarlo::stream(0xB17, 0);
+        for temp in [Celsius(-20.0), Celsius::NOMINAL, Celsius(80.0)] {
+            for d in designs() {
+                for bias in [BlockBias::INPUT_ONE, BlockBias::INPUT_ZERO] {
+                    for _ in 0..250 {
+                        let variation = BlockVariation {
+                            delta_vth: std::array::from_fn(|_| Volts(rng.gen_range(-0.1..0.1))),
+                        };
+                        let b = BuildingBlock::new(d, bias).with_variation(variation);
+                        let cap = b.saturation_current(temp);
+                        assert_eq!(
+                            cap.value().to_bits(),
+                            reference_capacity(&b, temp).value().to_bits(),
+                            "{b:?} at {temp:?}"
+                        );
+                        for _ in 0..8 {
+                            // non-positive, sub-knee and far past capacity
+                            let i = match rng.gen_range(0..4) {
+                                0 => -rng.gen_range(0.0..1e-6),
+                                1 => 0.0,
+                                _ => 10f64.powf(rng.gen_range(-13.0..-4.0)),
+                            };
+                            assert_eq!(
+                                b.voltage_for_current(Amps(i), temp).value().to_bits(),
+                                reference_inverse(&b, Amps(i), temp).value().to_bits(),
+                                "{b:?} at {i} A, {temp:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,11 +57,16 @@ impl Diode {
     /// Returns 0 V for non-positive currents (the block never conducts in
     /// reverse thanks to the series transistor stack).
     pub fn voltage_for_current(&self, i: Amps, temp: Celsius) -> Volts {
+        self.voltage_for_current_vt(i, self.thermal_voltage(temp))
+    }
+
+    /// [`voltage_for_current`](Self::voltage_for_current) at an already
+    /// evaluated thermal voltage `vt`.
+    pub(crate) fn voltage_for_current_vt(&self, i: Amps, vt: Volts) -> Volts {
         if i.value() <= 0.0 {
             return Volts(0.0);
         }
-        let vt = self.thermal_voltage(temp).value();
-        Volts(vt * (1.0 + i.value() / self.saturation_current.value()).ln())
+        Volts(vt.value() * (1.0 + i.value() / self.saturation_current.value()).ln())
     }
 
     /// Small-signal conductance `∂I/∂V` at voltage `v`.

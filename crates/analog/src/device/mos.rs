@@ -134,15 +134,20 @@ impl MosTransistor {
     ///
     /// [`drain_current`]: MosTransistor::drain_current
     pub fn vds_for_current(&self, i: Amps, vgs: Volts, temp: Celsius) -> Option<Volts> {
+        self.vds_for_overdrive(i, self.overdrive(vgs, temp), self.k_eff(temp))
+    }
+
+    /// [`vds_for_current`](Self::vds_for_current) with its temperature
+    /// terms already evaluated: the overdrive `vov` and `k = k_eff(T)`.
+    pub(crate) fn vds_for_overdrive(&self, i: Amps, vov: Volts, k: f64) -> Option<Volts> {
         let i = i.value();
         if i <= 0.0 {
             return Some(Volts(0.0));
         }
-        let vov = self.overdrive(vgs, temp).value();
+        let vov = vov.value();
         if vov <= 0.0 {
             return None;
         }
-        let k = self.k_eff(temp);
         let isat = 0.5 * k * vov * vov;
         if i < isat {
             // triode: k(vov·v − v²/2) = i  →  v = vov − sqrt(vov² − 2i/k)

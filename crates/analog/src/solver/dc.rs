@@ -7,10 +7,14 @@
 //! This module computes it the way a circuit simulator would: Kirchhoff
 //! current-law residuals at every internal node, Newton iteration with a
 //! `G_min` floor and step damping. A cold solve runs plain Newton at full
-//! supply from a flat start (every internal node at `vs/2`); there is no
-//! source-stepping continuation, because no crossbar, grid or supply and
-//! temperature corner measured needs it and a climb costs about 2.5× the
-//! iterations (23 against 9 at n = 900).
+//! supply from the lumped start: every internal node at the one level where
+//! KCL summed over all of them balances. The operating point follows the
+//! min cut, and on a crossbar that cut is a terminal star, so the internal
+//! nodes settle close to that level: on the n = 900 benchmark crossbar the
+//! start is 1.452 V against a solution spanning 1.446–1.454 V, and Newton
+//! takes 3 iterations where a flat `vs/2` start took 9. There is no
+//! source-stepping continuation and no Gauss–Seidel fallback; a line
+//! search that finds no descent ends the solve as `NoConvergence`.
 
 use std::fmt;
 use std::time::Instant;
@@ -142,8 +146,6 @@ pub(crate) struct NewtonWork {
     pub factorizations: u64,
     /// Damping events: line-search step halvings after a rejected trial.
     pub backtracks: u64,
-    /// Times the Newton direction was abandoned for Gauss–Seidel sweeps.
-    pub fallbacks: u64,
 }
 
 impl NewtonWork {
@@ -151,21 +153,19 @@ impl NewtonWork {
     /// cheap to emit (memory recorders skip zero deltas). The two live
     /// prefixes keep static counter names so emission allocates nothing.
     pub fn record(&self, recorder: &dyn Recorder, prefix: &str) {
-        const NAMES: [[&str; 4]; 2] = [
+        const NAMES: [[&str; 3]; 2] = [
             [
                 "analog.dc.newton_iterations",
                 "analog.dc.jacobian_factorizations",
                 "analog.dc.damping_backtracks",
-                "analog.dc.gauss_seidel_fallbacks",
             ],
             [
                 "analog.transient.newton_iterations",
                 "analog.transient.jacobian_factorizations",
                 "analog.transient.damping_backtracks",
-                "analog.transient.gauss_seidel_fallbacks",
             ],
         ];
-        let [iters, factors, backtracks, fallbacks] = match prefix {
+        let [iters, factors, backtracks] = match prefix {
             "analog.dc" => NAMES[0],
             "analog.transient" => NAMES[1],
             other => {
@@ -173,14 +173,12 @@ impl NewtonWork {
                 recorder
                     .counter_add(&format!("{other}.jacobian_factorizations"), self.factorizations);
                 recorder.counter_add(&format!("{other}.damping_backtracks"), self.backtracks);
-                recorder.counter_add(&format!("{other}.gauss_seidel_fallbacks"), self.fallbacks);
                 return;
             }
         };
         recorder.counter_add(iters, self.iterations);
         recorder.counter_add(factors, self.factorizations);
         recorder.counter_add(backtracks, self.backtracks);
-        recorder.counter_add(fallbacks, self.fallbacks);
     }
 }
 
@@ -277,8 +275,8 @@ impl<E: TwoTerminal> Circuit<E> {
     }
 
     /// [`solve_dc`](Self::solve_dc) with telemetry: emits
-    /// `analog.dc.newton_iterations`, `analog.dc.jacobian_factorizations`,
-    /// and `analog.dc.gauss_seidel_fallbacks` counters, observes the final
+    /// `analog.dc.newton_iterations`, `analog.dc.jacobian_factorizations`
+    /// and `analog.dc.damping_backtracks` counters, observes the final
     /// residual norm under `analog.dc.residual_norm`, times the whole solve
     /// as the `analog.dc.solve` span, and on failure counts
     /// `analog.dc.nonconvergence` and warns (once).
@@ -310,7 +308,7 @@ impl<E: TwoTerminal> Circuit<E> {
     /// in `ws`, stamping and LU fan out over `threads`, and an optional
     /// `warm` operating point is tried (at full tolerance, with a
     /// `warm_budget` iteration cap) before falling back to a cold solve,
-    /// plain Newton at full supply from the flat start. Returns the
+    /// plain Newton at full supply from the lumped start. Returns the
     /// solution and whether the warm start converged. Errors as
     /// [`Circuit::solve_dc`], a NaN element current included.
     #[allow(clippy::too_many_arguments)]
@@ -364,10 +362,11 @@ impl<E: TwoTerminal> Circuit<E> {
         let settled = match warm_attempt {
             Some(Ok(())) => Ok(()),
             // a stale operating point is not an error; redo cold: plain
-            // Newton at full supply from the flat start
+            // Newton at full supply from the lumped start
             None | Some(Err(SolveError::NoConvergence { .. })) => {
+                let level = ws.lumped_level(self, vs, options.temperature);
                 voltages.clear();
-                voltages.resize(n, Volts(vs.value() * 0.5));
+                voltages.resize(n, level);
                 voltages[source as usize] = vs;
                 voltages[sink as usize] = Volts(0.0);
                 self.newton_ws(&mut voltages, ws, options, tol, &mut work, threads)
@@ -524,25 +523,18 @@ impl<E: TwoTerminal> Circuit<E> {
                 work.backtracks += 1;
             }
             if !accepted {
-                work.fallbacks += 1;
-                // Newton direction failed (piecewise-linear kinks can make
-                // it non-descending in the residual norm); fall back to
-                // nonlinear Gauss–Seidel. GS is coordinate descent on the
-                // convex network co-content, so it always makes progress in
-                // the true objective even when the max-residual temporarily
-                // bumps — accept its state unconditionally and let the
-                // patience counter below detect genuine stagnation.
-                voltages.copy_from_slice(&ws.base);
-                for _ in 0..8 {
-                    self.gauss_seidel_sweep(voltages, &ws.unknowns, temp);
-                }
-                ws.compute_residual(self, voltages, temp, threads);
-                res_norm = max_abs(&ws.residual);
+                // no step along the Newton direction lowers the residual:
+                // the solve has stalled where it stands
+                return Err(SolveError::NoConvergence {
+                    iterations,
+                    residual: res_norm,
+                    worst_node: worst_node_of(&ws.residual, &ws.unknowns),
+                });
             }
             if options.trace_residuals {
                 ws.residual_trace.push(res_norm);
             }
-            // patience-based stagnation detection over both step kinds
+            // patience-based stagnation detection
             if res_norm < 0.999 * best_norm {
                 best_norm = res_norm;
                 stalled = 0;
@@ -558,48 +550,6 @@ impl<E: TwoTerminal> Circuit<E> {
             }
         }
         Ok(())
-    }
-
-    /// One nonlinear Gauss–Seidel sweep: each unknown node's voltage is
-    /// re-solved by bisection so its own KCL balances, holding every other
-    /// node fixed. The node residual is strictly decreasing in the node's
-    /// own voltage (incremental passivity), so the 1-D zero is unique.
-    fn gauss_seidel_sweep(&self, voltages: &mut [Volts], unknowns: &[usize], temp: Celsius) {
-        for &node in unknowns {
-            let residual_at = |v: f64, voltages: &[Volts]| -> f64 {
-                let mut r = 0.0;
-                for e in &self.edges {
-                    let (u, w) = (e.from as usize, e.to as usize);
-                    if w == node {
-                        let dv = voltages[u].value() - v;
-                        r += e.element.current(Volts(dv), temp).value();
-                    } else if u == node {
-                        let dv = v - voltages[w].value();
-                        r -= e.element.current(Volts(dv), temp).value();
-                    }
-                }
-                r
-            };
-            let (mut lo, mut hi) = (-1.0f64, 5.0f64);
-            // residual is decreasing in v: positive at lo, negative at hi
-            if residual_at(lo, voltages) < 0.0 {
-                voltages[node] = Volts(lo);
-                continue;
-            }
-            if residual_at(hi, voltages) > 0.0 {
-                voltages[node] = Volts(hi);
-                continue;
-            }
-            for _ in 0..50 {
-                let mid = 0.5 * (lo + hi);
-                if residual_at(mid, voltages) > 0.0 {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            voltages[node] = Volts(0.5 * (lo + hi));
-        }
     }
 
     /// KCL residual (net current *into* the node) for every unknown node.
@@ -647,7 +597,9 @@ fn emit_residual_trace(recorder: &dyn Recorder, options: &DcOptions, trace: &[f6
 mod tests {
     use super::*;
     use crate::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
-    use crate::solver::test_circuits::{divider, lopsided_divider, DirectedResistor, NanAbove};
+    use crate::solver::test_circuits::{
+        divider, fork, lopsided_divider, DirectedResistor, NanAbove,
+    };
     use crate::solver::{DcEngine, EngineOptions};
 
     #[test]
@@ -666,6 +618,17 @@ mod tests {
         // current = 2 V / 4 MΩ = 0.5 µA; node at 2 − 0.5 = 1.5 V
         assert!((sol.voltages[1].value() - 1.5).abs() < 1e-6);
         assert!((sol.source_current.value() - 0.5e-6).abs() < 1e-9);
+    }
+
+    #[test]
+    fn lumped_start_solves_a_divider_outright() {
+        // one internal node: the level where its KCL balances is the
+        // operating point, so Newton has nothing left to do
+        for (c, v1) in [(divider(1e6, 1e6), 1.0), (lopsided_divider(), 1.5)] {
+            let sol = c.solve_dc(0, 2, Volts(2.0), &DcOptions::default()).unwrap();
+            assert_eq!(sol.iterations, 0, "{sol:?}");
+            assert!((sol.voltages[1].value() - v1).abs() < 1e-12, "{sol:?}");
+        }
     }
 
     #[test]
@@ -745,8 +708,8 @@ mod tests {
     #[test]
     fn traced_solve_emits_work_counters() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let c = lopsided_divider();
-        let sol = c.solve_dc_traced(0, 2, Volts(2.0), &DcOptions::default(), &recorder).unwrap();
+        let c = fork();
+        let sol = c.solve_dc_traced(0, 4, Volts(2.0), &DcOptions::default(), &recorder).unwrap();
         // the cold work: Newton iterations, each with its factorization
         assert!(sol.iterations >= 1);
         assert_eq!(recorder.counter("analog.dc.newton_iterations"), sol.iterations as u64);
@@ -765,12 +728,11 @@ mod tests {
         let profiler = std::sync::Arc::new(ppuf_telemetry::Profiler::new());
         recorder.set_profiler(profiler.clone());
         // the cold solve iterates, so every phase below does real work
-        let sol = lopsided_divider()
-            .solve_dc_traced(0, 2, Volts(2.0), &DcOptions::default(), &recorder)
-            .unwrap();
+        let sol =
+            fork().solve_dc_traced(0, 4, Volts(2.0), &DcOptions::default(), &recorder).unwrap();
         assert!(sol.iterations >= 1);
         let snap = profiler.snapshot();
-        // a 1-unknown system resolves dense, so the LU subtree is
+        // a 3-unknown system resolves dense, so the LU subtree is
         // backend-tagged lu_dense
         for path in [
             "analog.dc.solve",
@@ -796,15 +758,15 @@ mod tests {
     #[test]
     fn nonconvergence_reports_worst_node_and_warns() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let c = lopsided_divider();
+        let c = fork();
         // a zero-iteration budget cannot converge from the cold start
         let options = DcOptions { max_iterations: 0, ..DcOptions::default() };
-        let err = c.solve_dc_traced(0, 2, Volts(2.0), &options, &recorder).unwrap_err();
+        let err = c.solve_dc_traced(0, 4, Volts(2.0), &options, &recorder).unwrap_err();
         match err {
             SolveError::NoConvergence { iterations, residual, worst_node } => {
                 assert_eq!(iterations, 0);
                 assert!(residual > 0.0);
-                assert_eq!(worst_node, 1, "only internal node must be the worst");
+                assert_eq!(worst_node, 1, "the start's largest residual is at node 1");
             }
             other => panic!("expected NoConvergence, got {other:?}"),
         }
@@ -817,14 +779,14 @@ mod tests {
     #[test]
     fn residual_trace_is_captured_on_demand_and_decreasing() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let c = lopsided_divider();
+        let c = fork();
 
         // off by default: no event
-        c.solve_dc_traced(0, 2, Volts(2.0), &DcOptions::default(), &recorder).unwrap();
+        c.solve_dc_traced(0, 4, Volts(2.0), &DcOptions::default(), &recorder).unwrap();
         assert!(recorder.events().is_empty());
 
         let options = DcOptions { trace_residuals: true, ..DcOptions::default() };
-        let sol = c.solve_dc_traced(0, 2, Volts(2.0), &options, &recorder).unwrap();
+        let sol = c.solve_dc_traced(0, 4, Volts(2.0), &options, &recorder).unwrap();
         let events = recorder.events();
         assert_eq!(events.len(), 1, "one residual-trace event per solve");
         let trace = &events[0];
@@ -839,12 +801,12 @@ mod tests {
     #[test]
     fn nonconvergent_solve_still_emits_its_residual_trace() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let c = lopsided_divider();
+        let c = fork();
         // a zero-iteration budget fails at once, leaving just the
         // pre-iteration residual in the trajectory
         let options =
             DcOptions { max_iterations: 0, trace_residuals: true, ..DcOptions::default() };
-        let err = c.solve_dc_traced(0, 2, Volts(2.0), &options, &recorder).unwrap_err();
+        let err = c.solve_dc_traced(0, 4, Volts(2.0), &options, &recorder).unwrap_err();
         assert!(matches!(err, SolveError::NoConvergence { .. }), "{err:?}");
         let events = recorder.events();
         assert_eq!(events.len(), 1);
@@ -861,8 +823,8 @@ mod tests {
     }
 
     /// Five serial blocks in a chain, block `i` shifted by ΔVth =
-    /// (0.01·i, −0.01·i, 0.005·i, 0) V. At 2 V plain Newton from the flat
-    /// start takes 14 iterations.
+    /// (0.01·i, −0.01·i, 0.005·i, 0) V. At 2 V a cold solve takes 7
+    /// iterations.
     fn serial_chain() -> Circuit<BuildingBlock> {
         let mut c = Circuit::new(6);
         for i in 0..5u32 {
@@ -895,11 +857,11 @@ mod tests {
     fn stalled_plain_newton_is_the_solves_failure() {
         // fewer iterations than the chain needs: nothing retries the solve
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let options = DcOptions { max_iterations: 8, ..DcOptions::default() };
+        let options = DcOptions { max_iterations: 4, ..DcOptions::default() };
         let err =
             serial_chain().solve_dc_traced(0, 5, Volts(2.0), &options, &recorder).unwrap_err();
-        assert!(matches!(err, SolveError::NoConvergence { iterations: 8, .. }), "{err:?}");
-        assert_eq!(recorder.counter("analog.dc.newton_iterations"), 8);
+        assert!(matches!(err, SolveError::NoConvergence { iterations: 4, .. }), "{err:?}");
+        assert_eq!(recorder.counter("analog.dc.newton_iterations"), 4);
         assert_eq!(recorder.counter("analog.dc.nonconvergence"), 1);
         assert_eq!(recorder.warnings().len(), 1);
     }
@@ -926,8 +888,9 @@ mod tests {
 
     #[test]
     fn nan_element_current_is_never_a_converged_solve() {
-        // s→a, a→t (NaN above 0.9 V) and a→b→t: the flat start puts 1 V
-        // on a→t, but the operating point a = 0.8 V, b = 0.4 V is finite
+        // s→a, a→t (NaN above 0.9 V) and a→b→t: the lumped start's search
+        // reads NaN wherever a→t carries more than 0.9 V and settles at
+        // 2/3 V; the operating point a = 0.8 V, b = 0.4 V is finite
         let mut c = Circuit::new(4);
         c.add_element(0, 1, NanAbove(f64::INFINITY)).unwrap();
         c.add_element(1, 3, NanAbove(0.9)).unwrap();

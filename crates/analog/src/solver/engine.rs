@@ -6,7 +6,7 @@
 //! source/sink selection — pays neither the per-iteration allocations nor
 //! a cold start: each solve first retries Newton from the last converged
 //! voltages at full tolerance and only falls back to a cold solve (plain
-//! Newton at full supply from the flat start) when that budget runs out.
+//! Newton at full supply from the lumped start) when that budget runs out.
 
 use ppuf_telemetry::{Recorder, NOOP};
 
@@ -23,7 +23,7 @@ pub struct EngineOptions {
     /// identical for every value.
     pub threads: usize,
     /// Whether to try the previous operating point before a cold solve
-    /// (plain Newton at full supply from the flat start).
+    /// (plain Newton at full supply from the lumped start).
     pub warm_start: bool,
     /// Newton iteration budget for a warm attempt before giving up and
     /// re-solving cold. Warm hits typically converge in a handful of
@@ -180,7 +180,7 @@ impl DcEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::test_circuits::{divider, lopsided_divider};
+    use crate::solver::test_circuits::{divider, fork};
     use ppuf_telemetry::MemoryRecorder;
 
     #[test]
@@ -201,12 +201,12 @@ mod tests {
     #[test]
     fn warm_start_hits_are_counted_and_cheaper() {
         let recorder = MemoryRecorder::new();
-        let c = lopsided_divider();
+        let c = fork();
         let opts = DcOptions::default();
         let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
-        let first = engine.solve_traced(&c, 0, 2, Volts(2.0), &opts, &recorder).unwrap();
+        let first = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
         assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 0);
-        let second = engine.solve_traced(&c, 0, 2, Volts(2.0), &opts, &recorder).unwrap();
+        let second = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
         assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 1);
         assert_eq!(recorder.counter("analog.dc.warm_start_misses"), 0);
         // a warm repeat starts at its answer; the cold first solve iterates
@@ -236,12 +236,12 @@ mod tests {
     #[test]
     fn disabled_warm_start_never_attempts() {
         let recorder = MemoryRecorder::new();
-        let c = lopsided_divider();
+        let c = fork();
         let opts = DcOptions::default();
         let mut engine =
             DcEngine::new(EngineOptions { threads: 1, warm_start: false, ..Default::default() });
-        let first = engine.solve_traced(&c, 0, 2, Volts(2.0), &opts, &recorder).unwrap();
-        let second = engine.solve_traced(&c, 0, 2, Volts(2.0), &opts, &recorder).unwrap();
+        let first = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
+        let second = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
         assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 0);
         assert_eq!(recorder.counter("analog.dc.warm_start_misses"), 0);
         // both ran the full cold solve; a warm repeat would need none

@@ -45,6 +45,7 @@ impl TabulatedElement {
         assert!(v_max.value() > 0.0, "v_max must be positive");
         // current reached at v_max bounds the grid
         let i_max = block.current(v_max, temp).value();
+        let terms = block.temp_terms(temp);
         let mut v = Vec::with_capacity(samples + 1);
         let mut i = Vec::with_capacity(samples + 1);
         v.push(0.0);
@@ -52,7 +53,7 @@ impl TabulatedElement {
         if i_max > 0.0 {
             for k in 1..=samples {
                 let ik = i_max * k as f64 / samples as f64;
-                let vk = block.voltage_for_current(Amps(ik), temp).value();
+                let vk = block.voltage_at(Amps(ik), &terms).value();
                 if !vk.is_finite() {
                     break;
                 }
@@ -86,6 +87,15 @@ impl TabulatedElement {
         Amps(self.i.last().copied().unwrap_or(0.0))
     }
 
+    /// Conductance at exactly zero bias, the curve's kink: the mean of its
+    /// one-sided slopes (0 below, the first segment's above), as the
+    /// trait's default `±h` secant reads it. A uniform start puts every
+    /// edge between internal nodes here; reading 0 would drop them all
+    /// from the first Newton Jacobian. Needs at least two samples.
+    fn kink_conductance(&self) -> f64 {
+        0.5 * (self.i[1] / self.v[1])
+    }
+
     fn interpolate(&self, dv: f64) -> f64 {
         if dv <= 0.0 || self.v.len() < 2 {
             return 0.0;
@@ -111,8 +121,11 @@ impl TwoTerminal for TabulatedElement {
 
     fn conductance(&self, dv: Volts, _temp: Celsius) -> f64 {
         let dv = dv.value();
-        if dv <= 0.0 || self.v.len() < 2 {
+        if dv < 0.0 || self.v.len() < 2 {
             return 0.0;
+        }
+        if dv == 0.0 {
+            return self.kink_conductance();
         }
         let last = self.v.len() - 1;
         let idx = if dv >= self.v[last] { last } else { self.v.partition_point(|&x| x < dv) };
@@ -124,8 +137,11 @@ impl TwoTerminal for TabulatedElement {
         // `interpolate` / `conductance` exactly so the fused path is
         // bitwise identical to two separate calls
         let dv = dv.value();
-        if dv <= 0.0 || self.v.len() < 2 {
+        if dv < 0.0 || self.v.len() < 2 {
             return (Amps(0.0), 0.0);
+        }
+        if dv == 0.0 {
+            return (Amps(0.0), self.kink_conductance());
         }
         let last = self.v.len() - 1;
         if dv >= self.v[last] {
@@ -191,6 +207,15 @@ mod tests {
         for step in 0..80 {
             assert!(tab.conductance(Volts(step as f64 * 0.05), T) >= 0.0);
         }
+    }
+
+    #[test]
+    fn conductance_at_zero_bias_averages_the_kink() {
+        let (_, tab) = table();
+        let above = tab.conductance(Volts(1e-12), T);
+        assert!(above > 0.0);
+        assert_eq!(tab.conductance(Volts(0.0), T), 0.5 * above);
+        assert_eq!(tab.conductance(Volts(-1e-12), T), 0.0);
     }
 
     #[test]

@@ -44,11 +44,26 @@ pub(crate) fn divider(r1: f64, r2: f64) -> Circuit<DirectedResistor> {
     c
 }
 
-/// The 1 MΩ + 3 MΩ divider: unlike the symmetric one, whose flat `vs/2`
-/// start is already its solution, a cold solve of it must iterate. At
-/// 2 V node 1 settles at 1.5 V and the source current is 0.5 µA.
+/// The 1 MΩ + 3 MΩ divider: at 2 V node 1 settles at 1.5 V and the source
+/// current is 0.5 µA. Like the symmetric divider it has one internal node,
+/// so the cold solve's lumped start, the level where that node's KCL
+/// balances, is already its solution.
 pub(crate) fn lopsided_divider() -> Circuit<DirectedResistor> {
     divider(1e6, 3e6)
+}
+
+/// `0 → 1` through 1 MΩ, then node 1 forks to the sink through `1 → 2 → 4`
+/// (1 + 1 MΩ) and `1 → 3 → 4` (3 + 1 MΩ); solve it with source 0 and sink
+/// 4. At 2 V the nodes settle at 8/7, 4/7 and 2/7 V and the source current
+/// is 6/7 µA. The lumped start puts all three at 2/3 V, where node 1 carries
+/// the largest KCL residual (4/3 µA, against −2/3 µA at nodes 2 and 3), so
+/// a cold solve must iterate.
+pub(crate) fn fork() -> Circuit<DirectedResistor> {
+    let mut c = Circuit::new(5);
+    for (u, v, ohms) in [(0, 1, 1e6), (1, 2, 1e6), (2, 4, 1e6), (1, 3, 3e6), (3, 4, 1e6)] {
+        c.add_element(u, v, DirectedResistor::new(ohms)).unwrap();
+    }
+    c
 }
 
 /// A directed 1 µS conductance whose current turns NaN once the voltage

@@ -353,7 +353,6 @@ fn backward_euler_step<E: TwoTerminal + Sync>(
             work.backtracks += 1;
         }
         if !improved {
-            work.fallbacks += 1;
             return Err(SolveError::NoConvergence {
                 iterations: 0,
                 residual: norm,
@@ -394,7 +393,7 @@ fn source_current<E: TwoTerminal>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::test_circuits::{divider, lopsided_divider, DirectedResistor, NanAbove};
+    use crate::solver::test_circuits::{divider, fork, DirectedResistor, NanAbove};
 
     fn rc_chain() -> (Circuit<DirectedResistor>, Vec<Farads>) {
         // s -R- v -R- t, C at v: classic RC settling
@@ -459,13 +458,14 @@ mod tests {
     #[test]
     fn traced_run_counts_steps_and_settle_time() {
         let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let (_, caps) = rc_chain();
-        // 1 MΩ + 3 MΩ, so the up-front DC solve cannot start at its answer
-        let c = lopsided_divider();
+        // three unequal internal nodes, so the up-front DC solve cannot
+        // start at its answer
+        let c = fork();
+        let caps = vec![Farads(0.0), Farads(1e-12), Farads(1e-12), Farads(1e-12), Farads(0.0)];
         let result = simulate_step_response_traced(
             &c,
             0,
-            2,
+            4,
             Volts(2.0),
             &caps,
             &TransientOptions::default(),

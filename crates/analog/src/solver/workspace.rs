@@ -21,6 +21,10 @@ use crate::units::{Amps, Celsius, Volts};
 /// evaluation itself; stamping runs on the calling thread.
 const PAR_MIN_EDGES: usize = 4096;
 
+/// Bracket width at which the cold start's level search stops (volts): a
+/// crossbar's operating point spreads over several millivolts.
+const LUMPED_TOLERANCE: f64 = 1e-3;
+
 /// Which linear solver handles `J·Δ = −F` inside the Newton loops.
 ///
 /// The crossbar Jacobian is a complete graph over the unknowns and is
@@ -575,6 +579,109 @@ impl DcWorkspace {
             .expect("jacobian assembly worker panicked");
         }
         self.stamp_time += t0.elapsed();
+    }
+
+    /// The cold start's level: the voltage in `[0, vs]` at which KCL
+    /// summed over all internal nodes balances with every one of them held
+    /// there. At a uniform level no edge between internal nodes carries
+    /// current, so the sum reads only the edges that touch a terminal
+    /// (`O(n)` of a crossbar's `O(n²)`), and it falls monotonically as the
+    /// level rises, every element being incrementally passive. A bracketed
+    /// Illinois search pins the balance to [`LUMPED_TOLERANCE`] and returns
+    /// the level evaluated with the smallest imbalance. With no sign change
+    /// on `[0, vs]` the level is the end the bracket reaches (the bottom
+    /// when there is no internal node, as the sum is then 0); a sum that
+    /// reads NaN counts as one taken too high.
+    ///
+    /// Each pass seeds its root-finds with the previous pass's currents,
+    /// like [`compute_residual`](Self::compute_residual), and the search's
+    /// wall time is charged to `eval_time` and `stamp_time`.
+    pub(crate) fn lumped_level<E: TwoTerminal>(
+        &mut self,
+        circuit: &Circuit<E>,
+        vs: Volts,
+        temp: Celsius,
+    ) -> Volts {
+        let t0 = Instant::now();
+        let vs = vs.value();
+        let (mut lo, mut hi) = (vs.min(0.0), vs.max(0.0));
+        let mut f_lo = self.lumped_inflow(circuit, lo, vs, temp);
+        let mut f_hi = self.lumped_inflow(circuit, hi, vs, temp);
+        let level = if f_lo <= 0.0 || f_lo.is_nan() {
+            lo
+        } else if f_hi > 0.0 {
+            hi
+        } else {
+            let (mut best, mut best_f) = if f_hi.abs() < f_lo { (hi, f_hi) } else { (lo, f_lo) };
+            // which end the last step replaced: replacing the same end
+            // twice halves the other end's value (the Illinois rule)
+            let mut side = 0i8;
+            while hi - lo > LUMPED_TOLERANCE {
+                let secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo);
+                let mid = if secant > lo && secant < hi { secant } else { 0.5 * (lo + hi) };
+                let f = self.lumped_inflow(circuit, mid, vs, temp);
+                if f.abs() < best_f.abs() {
+                    (best, best_f) = (mid, f);
+                }
+                if f == 0.0 {
+                    break;
+                }
+                if f > 0.0 {
+                    (lo, f_lo) = (mid, f);
+                    if side < 0 {
+                        f_hi *= 0.5;
+                    }
+                    side = -1;
+                } else {
+                    (hi, f_hi) = (mid, f);
+                    if side > 0 {
+                        f_lo *= 0.5;
+                    }
+                    side = 1;
+                }
+            }
+            best
+        };
+        let dt = t0.elapsed();
+        self.eval_time += dt;
+        self.stamp_time += dt;
+        Volts(level)
+    }
+
+    /// Net current into the internal nodes, all held at `level`, through
+    /// the edges that join them to the bound source (at `vs`) or sink (at
+    /// 0 V); refreshes those edges' `edge_i`.
+    fn lumped_inflow<E: TwoTerminal>(
+        &mut self,
+        circuit: &Circuit<E>,
+        level: f64,
+        vs: f64,
+        temp: Celsius,
+    ) -> f64 {
+        let edges = circuit.edges();
+        let (source, sink) = self.bound_terminals;
+        let mut inflow = 0.0;
+        for (terminal, v) in [(source as usize, vs), (sink as usize, 0.0)] {
+            let lo = self.offsets[terminal] as usize;
+            let hi = self.offsets[terminal + 1] as usize;
+            for &(e, incoming) in &self.incidence[lo..hi] {
+                let edge = &edges[e as usize];
+                let other = if incoming { edge.from } else { edge.to };
+                if self.unknown_of[other as usize] == usize::MAX {
+                    continue; // terminal to terminal
+                }
+                let dv = if incoming { level - v } else { v - level };
+                let seed = Amps(self.edge_i[e as usize]);
+                let i = edge.element.current_seeded(Volts(dv), seed, temp).value();
+                self.edge_i[e as usize] = i;
+                if incoming {
+                    inflow -= i;
+                } else {
+                    inflow += i;
+                }
+            }
+        }
+        inflow
     }
 
     /// Net current out of `terminal` using the edge currents from the most

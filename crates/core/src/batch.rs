@@ -10,7 +10,7 @@
 //!   (per input bit) instead of once per challenge, and
 //! - each device's two crossbars get warm-started [`DcEngine`]s, so
 //!   consecutive challenges start Newton from the previous operating point
-//!   instead of solving cold from the flat start.
+//!   instead of solving cold from the lumped start.
 //!
 //! Work is partitioned so that the *result* never depends on the thread
 //! count: a parallel job is either a whole device (analog mode — the warm

@@ -106,3 +106,38 @@ proptest! {
         prop_assert!(all0.total_capacity() > all1.total_capacity());
     }
 }
+
+proptest! {
+    // each case builds both networks' I–V tables and solves them under
+    // all five environments, so a few cases cover the corners
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn chip_dc_current_matches_dinic_within_fig6_budget(
+        nodes in 6usize..24,
+        seed in any::<u64>(),
+        cseed in any::<u64>(),
+    ) {
+        // Fig 6: the analog operating point carries the max flow over the
+        // capacities the device publishes for that environment
+        let ppuf = Ppuf::generate(PpufConfig::paper(nodes, (nodes / 5).clamp(1, 8)), seed)
+            .expect("valid");
+        let mut rng = ChaCha8Rng::seed_from_u64(cseed);
+        let challenge = ppuf.challenge_space().random(&mut rng);
+        for env in Environment::corners() {
+            let executor = ppuf.executor(env);
+            let chip = executor.execute(&challenge).expect("the DC solve converges");
+            let flow = executor.model().simulate(&challenge, &Dinic::new()).expect("solves");
+            for (analog, max_flow) in
+                [(chip.current_a, flow.current_a), (chip.current_b, flow.current_b)]
+            {
+                let (analog, max_flow) = (analog.value(), max_flow.value());
+                prop_assert!(analog > 0.0, "{env:?}: no current");
+                prop_assert!(
+                    (analog - max_flow).abs() / analog <= 0.01,
+                    "{env:?}: chip {analog} A vs Dinic {max_flow} A"
+                );
+            }
+        }
+    }
+}
