@@ -971,6 +971,22 @@ mod tests {
     }
 
     #[test]
+    fn anchored_solve_seeded_far_below_the_root_falls_back_to_cold() {
+        let b = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
+        let t = b.temp_terms(T);
+        let dv = 1.0;
+        let cold = b.solve_cold(dv, &t);
+        // the upward expansion multiplies its seed by 1.01·4^0·…·1.01·4^9
+        // ≈ 1.4e27 before its step passes the 1e6 cap, so a seed 30
+        // decades below the root never brackets it
+        let near = cold * 1e-30;
+        let v_near = b.voltage_at(Amps(near), &t).value();
+        assert!(v_near.is_finite() && v_near < dv, "the root lies above the seed: {v_near}");
+        let anchored = b.solve_current_anchored(dv, near, v_near, &t);
+        assert_eq!(anchored.to_bits(), cold.to_bits(), "{anchored} vs cold {cold}");
+    }
+
+    #[test]
     fn temperature_shifts_current() {
         let b = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
         let cold = b.current(Volts(1.6), Celsius(-20.0)).value();

@@ -106,8 +106,7 @@ impl std::error::Error for SolveError {}
 pub struct DcOptions {
     /// Convergence threshold on the max KCL residual (amps).
     pub residual_tolerance: Amps,
-    /// Maximum Newton iterations per attempt: the warm start (further
-    /// capped by the engine's budget) and the cold solve.
+    /// Maximum Newton iterations of a solve.
     pub max_iterations: usize,
     /// Ambient temperature.
     pub temperature: Celsius,
@@ -198,8 +197,8 @@ pub struct DcSolution {
     pub voltages: Vec<Volts>,
     /// Net current flowing out of the source terminal.
     pub source_current: Amps,
-    /// Every Newton iteration the solve ran, a missed warm start's
-    /// included; equals the solve's `analog.dc.newton_iterations` counter.
+    /// Newton iterations the solve ran; equals the solve's
+    /// `analog.dc.newton_iterations` counter.
     pub iterations: usize,
     /// Final max KCL residual.
     pub residual: Amps,
@@ -298,18 +297,13 @@ impl<E: TwoTerminal> Circuit<E> {
     where
         E: Sync,
     {
-        let mut ws = DcWorkspace::new();
-        self.solve_dc_core(source, sink, vs, options, recorder, &mut ws, 1, None, 0)
-            .map(|(solution, _)| solution)
+        self.solve_dc_core(source, sink, vs, options, recorder, &mut DcWorkspace::new(), 1)
     }
 
     /// The shared solve path behind [`solve_dc_traced`](Self::solve_dc_traced)
-    /// and [`DcEngine`](crate::solver::engine::DcEngine): all scratch lives
-    /// in `ws`, stamping and LU fan out over `threads`, and an optional
-    /// `warm` operating point is tried (at full tolerance, with a
-    /// `warm_budget` iteration cap) before falling back to a cold solve,
-    /// plain Newton at full supply from the lumped start. Returns the
-    /// solution and whether the warm start converged. Errors as
+    /// and [`DcEngine`](crate::solver::engine::DcEngine): plain Newton at
+    /// full supply from the lumped start, with all scratch in `ws` and
+    /// stamping and LU fanned out over `threads`. Errors as
     /// [`Circuit::solve_dc`], a NaN element current included.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_dc_core(
@@ -321,9 +315,7 @@ impl<E: TwoTerminal> Circuit<E> {
         recorder: &dyn Recorder,
         ws: &mut DcWorkspace,
         threads: usize,
-        warm: Option<&[Volts]>,
-        warm_budget: usize,
-    ) -> Result<(DcSolution, bool), SolveError>
+    ) -> Result<DcSolution, SolveError>
     where
         E: Sync,
     {
@@ -344,35 +336,16 @@ impl<E: TwoTerminal> Circuit<E> {
         let (eval0, factor0, backsub0) = (ws.eval_time, ws.factor_time, ws.backsub_time);
         let (sp_hits0, sp_full0) = (ws.sp_reuse_hits, ws.sp_full_factors);
         // all path strings below are static and pre-interned on first use,
-        // so a warm profiled solve allocates nothing extra
+        // so a repeat profiled solve allocates nothing extra
         let profiler = recorder.profiler();
         let _alloc_scope = profiler.map(|p| p.alloc_scope("analog.dc.solve"));
         let mut work = NewtonWork::default();
         let tol = options.residual_tolerance.value();
-        let mut voltages: Vec<Volts> = Vec::with_capacity(n);
-        let warm_attempt = warm.filter(|p| p.len() == n).map(|prev| {
-            voltages.extend_from_slice(prev);
-            voltages[source as usize] = vs;
-            voltages[sink as usize] = Volts(0.0);
-            let warm_options =
-                DcOptions { max_iterations: options.max_iterations.min(warm_budget), ..*options };
-            self.newton_ws(&mut voltages, ws, &warm_options, tol, &mut work, threads)
-        });
-        let warm_hit = matches!(warm_attempt, Some(Ok(())));
-        let settled = match warm_attempt {
-            Some(Ok(())) => Ok(()),
-            // a stale operating point is not an error; redo cold: plain
-            // Newton at full supply from the lumped start
-            None | Some(Err(SolveError::NoConvergence { .. })) => {
-                let level = ws.lumped_level(self, vs, options.temperature);
-                voltages.clear();
-                voltages.resize(n, level);
-                voltages[source as usize] = vs;
-                voltages[sink as usize] = Volts(0.0);
-                self.newton_ws(&mut voltages, ws, options, tol, &mut work, threads)
-            }
-            Some(Err(err)) => Err(err),
-        };
+        let level = ws.lumped_level(self, vs, options.temperature);
+        let mut voltages = vec![level; n];
+        voltages[source as usize] = vs;
+        voltages[sink as usize] = Volts(0.0);
+        let settled = self.newton_ws(&mut voltages, ws, options, tol, &mut work, threads);
         // final residual + terminal current from one evaluation pass
         let settled = settled.and_then(|()| {
             ws.compute_residual(self, &voltages, options.temperature, threads);
@@ -437,20 +410,17 @@ impl<E: TwoTerminal> Circuit<E> {
             profiler.record_leaf(FACTOR[b], factor);
             profiler.record_leaf(BACKSUB[b], backsub);
         }
-        Ok((
-            DcSolution {
-                voltages,
-                source_current: Amps(source_current),
-                iterations: work.iterations as usize,
-                residual: Amps(residual),
-            },
-            warm_hit,
-        ))
+        Ok(DcSolution {
+            voltages,
+            source_current: Amps(source_current),
+            iterations: work.iterations as usize,
+            residual: Amps(residual),
+        })
     }
 
     /// Damped Newton iteration at fixed terminal voltages, running
     /// entirely out of the workspace's reusable buffers. Every iteration
-    /// counts in `work`, whether or not the attempt converges.
+    /// counts in `work`, whether or not the solve converges.
     fn newton_ws(
         &self,
         voltages: &mut [Volts],
@@ -586,7 +556,7 @@ pub(crate) fn max_abs(xs: &[f64]) -> f64 {
 
 /// Flushes the captured residual trajectory as one
 /// `analog.dc.residual_trace` event (values are the max-KCL residual in
-/// amps after each Newton iteration, across every attempt and stage).
+/// amps before the first Newton iteration and after each one).
 fn emit_residual_trace(recorder: &dyn Recorder, options: &DcOptions, trace: &[f64]) {
     if options.trace_residuals && !trace.is_empty() {
         recorder.record_event("analog.dc.residual_trace", trace);
@@ -600,7 +570,6 @@ mod tests {
     use crate::solver::test_circuits::{
         divider, fork, lopsided_divider, DirectedResistor, NanAbove,
     };
-    use crate::solver::{DcEngine, EngineOptions};
 
     #[test]
     fn voltage_divider() {
@@ -864,26 +833,6 @@ mod tests {
         assert_eq!(recorder.counter("analog.dc.newton_iterations"), 4);
         assert_eq!(recorder.counter("analog.dc.nonconvergence"), 1);
         assert_eq!(recorder.warnings().len(), 1);
-    }
-
-    #[test]
-    fn iterations_count_every_attempt() {
-        // a missed warm start, then the cold solve
-        let c = serial_chain();
-        let recorder = ppuf_telemetry::MemoryRecorder::new();
-        let mut engine = DcEngine::new(EngineOptions {
-            threads: 1,
-            warm_iteration_limit: 1,
-            ..Default::default()
-        });
-        let opts = DcOptions::default();
-        engine.solve_traced(&c, 0, 5, Volts(2.0), &opts, &recorder).unwrap();
-        let before = recorder.counter("analog.dc.newton_iterations");
-        let sol = engine.solve_traced(&c, 0, 5, Volts(0.3), &opts, &recorder).unwrap();
-        assert_eq!(recorder.counter("analog.dc.warm_start_misses"), 1);
-        let cold = c.solve_dc(0, 5, Volts(0.3), &opts).unwrap();
-        assert_eq!(sol.iterations, cold.iterations + 1, "the missed attempt's iteration counts");
-        assert_eq!(recorder.counter("analog.dc.newton_iterations") - before, sol.iterations as u64);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Warm-started, thread-aware DC solve engine.
+//! Thread-aware DC solve engine.
 //!
-//! A [`DcEngine`] owns a [`DcWorkspace`] and the previous operating point,
-//! so a stream of related solves — transient steps, Monte-Carlo instances
-//! differing only by ΔVth draws, per-challenge re-solves differing only in
-//! source/sink selection — pays neither the per-iteration allocations nor
-//! a cold start: each solve first retries Newton from the last converged
-//! voltages at full tolerance and only falls back to a cold solve (plain
-//! Newton at full supply from the lumped start) when that budget runs out.
+//! A [`DcEngine`] owns a [`DcWorkspace`], so a stream of solves — challenge
+//! after challenge, Monte-Carlo instances differing only by ΔVth draws —
+//! pays neither the per-iteration allocations nor, on the sparse backend,
+//! a second symbolic analysis of the same circuit shape. Every solve is
+//! cold: plain Newton at full supply from the lumped start, exactly as
+//! [`Circuit::solve_dc`] runs it.
 
 use ppuf_telemetry::{Recorder, NOOP};
 
@@ -16,37 +15,22 @@ use crate::solver::workspace::{DcWorkspace, LinearBackend, SparseStats};
 use crate::units::Volts;
 
 /// Tuning knobs for a [`DcEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineOptions {
     /// Worker threads for stamping and LU trailing updates; `0` resolves
     /// to [`std::thread::available_parallelism`]. Results are bitwise
     /// identical for every value.
     pub threads: usize,
-    /// Whether to try the previous operating point before a cold solve
-    /// (plain Newton at full supply from the lumped start).
-    pub warm_start: bool,
-    /// Newton iteration budget for a warm attempt before giving up and
-    /// re-solving cold. Warm hits typically converge in a handful of
-    /// iterations; a stale point burns at most this many.
-    pub warm_iteration_limit: usize,
 }
 
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions { threads: 0, warm_start: true, warm_iteration_limit: 48 }
-    }
-}
-
-/// Reusable DC solve engine: buffers + warm state + thread pool sizing.
+/// Reusable DC solve engine: a workspace plus a resolved thread count.
 ///
-/// One engine serves one stream of related solves; it is cheap enough to
-/// create per device instance. See the module docs for what it reuses.
-#[derive(Debug, Default)]
+/// One engine serves one stream of solves; it is cheap enough to create
+/// per device instance. See the module docs for what it reuses.
+#[derive(Debug)]
 pub struct DcEngine {
-    options: EngineOptions,
     threads: usize,
     ws: DcWorkspace,
-    warm: Vec<Volts>,
 }
 
 impl DcEngine {
@@ -58,22 +42,12 @@ impl DcEngine {
         } else {
             options.threads
         };
-        DcEngine { options, threads, ws: DcWorkspace::new(), warm: Vec::new() }
-    }
-
-    /// The options the engine was built with.
-    pub fn options(&self) -> EngineOptions {
-        self.options
+        DcEngine { threads, ws: DcWorkspace::new() }
     }
 
     /// Resolved worker thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether a previous operating point is available for warm starting.
-    pub fn has_warm_state(&self) -> bool {
-        !self.warm.is_empty()
     }
 
     /// The linear backend the most recent solve's binding resolved to
@@ -93,15 +67,8 @@ impl DcEngine {
         self.ws.sparse_stats()
     }
 
-    /// Drops the warm state, forcing the next solve to run cold. Call when
-    /// switching to an unrelated circuit (the workspace itself rebinds
-    /// automatically).
-    pub fn reset(&mut self) {
-        self.warm.clear();
-    }
-
-    /// Solves for the DC operating point like
-    /// [`Circuit::solve_dc`], reusing this engine's buffers and warm state.
+    /// Solves for the DC operating point like [`Circuit::solve_dc`],
+    /// reusing this engine's buffers.
     ///
     /// # Errors
     ///
@@ -118,11 +85,9 @@ impl DcEngine {
     }
 
     /// [`solve`](Self::solve) with telemetry: everything
-    /// [`Circuit::solve_dc_traced`] emits, plus
-    /// `analog.dc.warm_start_hits` / `analog.dc.warm_start_misses`
-    /// counters, the `analog.engine.threads` histogram, and the
-    /// `analog.dc.stamp` / `analog.dc.lu` spans showing where the solve
-    /// time goes.
+    /// [`Circuit::solve_dc_traced`] emits, plus the `analog.engine.threads`
+    /// histogram and the `analog.dc.stamp` / `analog.dc.lu` spans showing
+    /// where the solve time goes.
     ///
     /// # Errors
     ///
@@ -137,43 +102,7 @@ impl DcEngine {
         recorder: &dyn Recorder,
     ) -> Result<DcSolution, SolveError> {
         recorder.observe("analog.engine.threads", self.threads as f64);
-        let warm = if self.options.warm_start && self.warm.len() == circuit.node_count() {
-            Some(self.warm.as_slice())
-        } else {
-            None
-        };
-        let attempted = warm.is_some();
-        let outcome = circuit.solve_dc_core(
-            source,
-            sink,
-            vs,
-            options,
-            recorder,
-            &mut self.ws,
-            self.threads,
-            warm,
-            self.options.warm_iteration_limit,
-        );
-        match outcome {
-            Ok((solution, warm_hit)) => {
-                if warm_hit {
-                    recorder.counter_add("analog.dc.warm_start_hits", 1);
-                } else if attempted {
-                    recorder.counter_add("analog.dc.warm_start_misses", 1);
-                }
-                self.warm.clear();
-                self.warm.extend_from_slice(&solution.voltages);
-                Ok(solution)
-            }
-            Err(err) => {
-                if attempted {
-                    recorder.counter_add("analog.dc.warm_start_misses", 1);
-                }
-                // a failed solve leaves no trustworthy operating point
-                self.warm.clear();
-                Err(err)
-            }
-        }
+        circuit.solve_dc_core(source, sink, vs, options, recorder, &mut self.ws, self.threads)
     }
 }
 
@@ -188,39 +117,39 @@ mod tests {
         let c = divider(1e6, 1e6);
         let opts = DcOptions::default();
         let cold = c.solve_dc(0, 2, Volts(2.0), &opts).unwrap();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
+        let mut engine = DcEngine::new(EngineOptions { threads: 1 });
         let first = engine.solve(&c, 0, 2, Volts(2.0), &opts).unwrap();
         let second = engine.solve(&c, 0, 2, Volts(2.0), &opts).unwrap();
         for sol in [&first, &second] {
             assert!((sol.voltages[1].value() - cold.voltages[1].value()).abs() < 1e-9);
             assert!(sol.residual.value() <= opts.residual_tolerance.value());
         }
-        assert!(engine.has_warm_state());
     }
 
     #[test]
-    fn warm_start_hits_are_counted_and_cheaper() {
+    fn repeat_solves_are_cold() {
         let recorder = MemoryRecorder::new();
         let c = fork();
         let opts = DcOptions::default();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
+        let mut engine = DcEngine::new(EngineOptions { threads: 1 });
         let first = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
-        assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 0);
         let second = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
-        assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 1);
-        assert_eq!(recorder.counter("analog.dc.warm_start_misses"), 0);
-        // a warm repeat starts at its answer; the cold first solve iterates
-        assert!(second.iterations < first.iterations, "{second:?} vs {first:?}");
-        assert!(recorder.histogram("analog.engine.threads").unwrap().count >= 2);
-        assert!(recorder.span_stats("analog.dc.stamp").unwrap().count >= 2);
-        assert!(recorder.span_stats("analog.dc.lu").unwrap().count >= 2);
+        // both ran the full cold solve; a start at the first answer would
+        // need no iteration at all
+        assert!(first.iterations >= 1);
+        assert_eq!(second, first);
+        assert_eq!(first, c.solve_dc(0, 4, Volts(2.0), &opts).unwrap());
+        assert_eq!(recorder.counter("analog.dc.newton_iterations"), 2 * first.iterations as u64);
+        assert_eq!(recorder.histogram("analog.engine.threads").unwrap().count, 2);
+        assert_eq!(recorder.span_stats("analog.dc.stamp").unwrap().count, 2);
+        assert_eq!(recorder.span_stats("analog.dc.lu").unwrap().count, 2);
     }
 
     #[test]
-    fn warm_start_survives_terminal_swap() {
+    fn terminal_swap_matches_cold_solver() {
         let c = divider(1e6, 1e6);
         let opts = DcOptions::default();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
+        let mut engine = DcEngine::new(EngineOptions { threads: 1 });
         engine.solve(&c, 0, 2, Volts(2.0), &opts).unwrap();
         // sink becomes the internal node: unknown set changes shape
         let swapped = engine.solve(&c, 0, 1, Volts(2.0), &opts).unwrap();
@@ -234,39 +163,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_warm_start_never_attempts() {
-        let recorder = MemoryRecorder::new();
-        let c = fork();
-        let opts = DcOptions::default();
-        let mut engine =
-            DcEngine::new(EngineOptions { threads: 1, warm_start: false, ..Default::default() });
-        let first = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
-        let second = engine.solve_traced(&c, 0, 4, Volts(2.0), &opts, &recorder).unwrap();
-        assert_eq!(recorder.counter("analog.dc.warm_start_hits"), 0);
-        assert_eq!(recorder.counter("analog.dc.warm_start_misses"), 0);
-        // both ran the full cold solve; a warm repeat would need none
-        assert!(first.iterations >= 1);
-        assert_eq!(second.iterations, first.iterations);
-        assert_eq!(recorder.counter("analog.dc.newton_iterations"), 2 * first.iterations as u64);
-    }
-
-    #[test]
-    fn errors_clear_warm_state() {
-        let c = divider(1e6, 1e6);
-        let opts = DcOptions::default();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
-        engine.solve(&c, 0, 2, Volts(2.0), &opts).unwrap();
-        assert!(engine.has_warm_state());
-        assert!(matches!(engine.solve(&c, 0, 0, Volts(2.0), &opts), Err(SolveError::SourceIsSink)));
-        assert!(!engine.has_warm_state());
-        engine.reset();
-        assert!(!engine.has_warm_state());
-    }
-
-    #[test]
     fn zero_threads_resolves_to_machine_parallelism() {
         let engine = DcEngine::new(EngineOptions::default());
         assert!(engine.threads() >= 1);
-        assert_eq!(engine.options().warm_iteration_limit, 48);
     }
 }

@@ -1,7 +1,7 @@
-//! Circuit solvers: dense blocked LU, nonlinear DC operating point (cold
-//! or warm-started via [`DcEngine`]), backward-Euler transient, tabulated
-//! fast-path element curves, and the reusable [`DcWorkspace`] scratch
-//! state they all share.
+//! Circuit solvers: dense blocked LU, nonlinear DC operating point (one
+//! solve, or a stream of them through a [`DcEngine`]), backward-Euler
+//! transient, tabulated fast-path element curves, and the reusable
+//! [`DcWorkspace`] scratch state they all share.
 
 pub mod dc;
 pub mod engine;

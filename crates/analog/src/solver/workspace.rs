@@ -31,7 +31,7 @@ const LUMPED_TOLERANCE: f64 = 1e-3;
 /// numerically ~50% dense, so the blocked dense LU stays the right tool
 /// there; grid and other locally-connected topologies have `O(k)`
 /// nonzeros and want the sparse factorization with its symbolic
-/// analysis amortized across Newton iterations and warm-start chains.
+/// analysis amortized across Newton iterations and repeat solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinearBackend {
     /// Cache-blocked dense LU with partial pivoting (the original path).
@@ -151,8 +151,8 @@ impl DcWorkspace {
     /// structural density `(k + 2·m_interior)/k²` is below 1/4 — grids
     /// qualify, the complete-graph crossbar does not. The sparse pattern,
     /// fill-reducing order, and any numeric factorization survive rebinds
-    /// of the same circuit shape and terminal pair, so warm-start chains
-    /// keep replaying the one symbolic analysis.
+    /// of the same circuit shape and terminal pair, so an engine's repeat
+    /// solves keep replaying the one symbolic analysis.
     pub(crate) fn bind<E: TwoTerminal>(
         &mut self,
         circuit: &Circuit<E>,
@@ -705,6 +705,7 @@ impl DcWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::sparse::SparseError;
     use crate::solver::test_circuits::DirectedResistor;
 
     fn diamond() -> Circuit<DirectedResistor> {
@@ -819,6 +820,33 @@ mod tests {
         // different terminals: new unknown numbering forces a full factor
         factor_once(&mut ws, 1, 2);
         assert_eq!((ws.sp_full_factors, ws.sp_reuse_hits), (2, 1));
+    }
+
+    #[test]
+    fn pivot_decay_falls_back_to_a_full_factorization() {
+        let c = diamond();
+        let voltages = vec![Volts(2.0), Volts(1.3), Volts(0.9), Volts(0.0)];
+        let mut ws = DcWorkspace::new();
+        ws.bind(&c, 0, 3, LinearBackend::Sparse);
+        ws.compute_jacobian(&c, &voltages, Celsius::NOMINAL, 1, None, false);
+        ws.factor_jacobian(1).unwrap();
+        assert_eq!((ws.sp_full_factors, ws.sp_reuse_hits), (1, 0));
+        // the factorization froze diagonal pivots; collapse every diagonal
+        // while the off-diagonals stay, so the first frozen pivot decays
+        for r in 0..ws.unknowns.len() {
+            ws.sp_mat.values_mut()[ws.sp_diag_slots[r] as usize] = 1e-30;
+        }
+        let mut stale = ws.sp_lu.clone().unwrap();
+        assert!(matches!(stale.refactor(&ws.sp_mat), Err(SparseError::PivotDecay { .. })));
+        ws.factor_jacobian(1).unwrap();
+        assert_eq!((ws.sp_full_factors, ws.sp_reuse_hits), (2, 0));
+        // the re-pivoted factors solve like a fresh factorization
+        let rhs = [1e-6, -2e-6];
+        ws.delta.copy_from_slice(&rhs);
+        ws.solve_linear();
+        let mut fresh = rhs.to_vec();
+        SparseLu::factor(&ws.sp_mat, &ws.sp_perm).unwrap().solve(&mut fresh);
+        assert_eq!(ws.delta, fresh);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Locks the steady-state allocation budget of the Newton hot path: once
 //! an engine's workspace is sized (and, on the sparse backend, the
-//! symbolic analysis is recorded), a warm re-solve allocates only the
+//! symbolic analysis is recorded), a re-solve allocates only the
 //! per-solve voltage vector — nothing per iteration, on either backend.
 //!
 //! This file intentionally holds a single test: the counting allocator is
@@ -63,18 +63,18 @@ fn warm_newton_solves_have_constant_allocation_budget() {
         let c = grid(4);
         let sink = (c.node_count() - 1) as u32;
         let opts = DcOptions { backend, ..DcOptions::default() };
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
-        // sizing solves at both bias points: buffers, the sparse symbolic
-        // analysis, and the warm state all reach steady shape here
+        let mut engine = DcEngine::new(EngineOptions { threads: 1 });
+        // sizing solves at both bias points: buffers and the sparse
+        // symbolic analysis reach steady shape here
         engine.solve(&c, 0, sink, Volts(2.0), &opts).unwrap();
         engine.solve(&c, 0, sink, Volts(1.6), &opts).unwrap();
         engine.solve(&c, 0, sink, Volts(2.0), &opts).unwrap();
 
         let before = ALLOCATIONS.load(Ordering::SeqCst);
         for i in 0..SOLVES {
-            // alternate the bias so every warm solve runs real Newton
-            // iterations (refactorizations included) instead of accepting
-            // the previous operating point outright
+            // alternate the bias, as the sizing solves did; every solve
+            // starts cold and runs real Newton iterations (sparse
+            // refactorizations included)
             let vs = if i % 2 == 0 { Volts(1.6) } else { Volts(2.0) };
             engine.solve(&c, 0, sink, vs, &opts).unwrap();
         }
@@ -83,7 +83,7 @@ fn warm_newton_solves_have_constant_allocation_budget() {
         let per_solve = (after - before) as f64 / SOLVES as f64;
         assert!(
             per_solve <= 2.0,
-            "{backend:?}: {per_solve} allocations per warm solve — the \
+            "{backend:?}: {per_solve} allocations per re-solve — the \
              Newton loop must not allocate per iteration"
         );
     }

@@ -96,7 +96,7 @@ fn auto_picks_sparse_for_grids_and_matches_dense() {
     let c = build(n, &edges);
     let sink = (n - 1) as u32;
 
-    let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
+    let mut engine = DcEngine::new(EngineOptions { threads: 1 });
     let opts = DcOptions::default(); // backend: Auto
     let auto = engine.solve(&c, 0, sink, Volts(2.0), &opts).unwrap();
     assert_eq!(engine.resolved_backend(), LinearBackend::Sparse);
@@ -123,7 +123,7 @@ fn auto_keeps_dense_for_complete_graphs() {
         }
     }
     let c = build(n, &edges);
-    let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
+    let mut engine = DcEngine::new(EngineOptions { threads: 1 });
     engine.solve(&c, 0, (n - 1) as u32, Volts(2.0), &DcOptions::default()).unwrap();
     assert_eq!(engine.resolved_backend(), LinearBackend::DenseBlocked);
     assert!(engine.sparse_stats().is_none());

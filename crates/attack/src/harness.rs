@@ -10,7 +10,7 @@ use std::time::Instant;
 use rand::Rng;
 
 use ppuf_analog::variation::Environment;
-use ppuf_core::batch::{BatchOptions, EvalBatch};
+use ppuf_core::batch::EvalBatch;
 use ppuf_core::challenge::Challenge;
 use ppuf_core::device::Ppuf;
 use ppuf_core::PpufError;
@@ -75,7 +75,7 @@ impl<'a> PpufOracle<'a> {
         PpufOracle {
             executor: ppuf.executor(Environment::NOMINAL),
             template,
-            batch: EvalBatch::new(BatchOptions::default()),
+            batch: EvalBatch::new(0),
         }
     }
 

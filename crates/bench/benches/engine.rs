@@ -1,29 +1,28 @@
-//! Criterion bench: warm-started batch engine vs the cold DC solver.
+//! Criterion bench: the cold DC solver and the batch API.
 //!
 //! Uses the same device-plus-challenge circuit shape as `engine_bench`
 //! (per-edge ΔVth draws, per-edge challenge bias bits) at a small n so a
 //! full criterion pass stays fast. The headline measurement of the paper's
 //! n = 900 point lives in the `engine_bench` binary; this bench guards the
-//! warm-vs-cold ratio and the batch API overhead against regressions.
+//! small-n cold solve and the batch API overhead against regressions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use ppuf_analog::block::BuildingBlock;
-use ppuf_analog::solver::{Circuit, DcEngine, DcOptions, EngineOptions};
+use ppuf_analog::solver::DcOptions;
 use ppuf_analog::units::Volts;
 use ppuf_analog::variation::Environment;
 use ppuf_bench::engine_profile::{challenge_circuit, device_variations};
-use ppuf_core::batch::{BatchOptions, EvalBatch, EvalMode};
+use ppuf_core::batch::EvalBatch;
 use ppuf_core::device::{Ppuf, PpufConfig};
 use ppuf_core::Challenge;
 
-fn bench_warm_vs_cold(c: &mut Criterion) {
+fn bench_cold_solve(c: &mut Criterion) {
     let n = 24usize;
     let vars = device_variations(n, 0xE2);
     let options = DcOptions::default();
-    let mut group = c.benchmark_group("engine_warm_vs_cold");
+    let mut group = c.benchmark_group("engine_cold_solve");
     group.sample_size(10);
 
     group.bench_function("cold_solve_dc", |b| {
@@ -31,23 +30,6 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
         b.iter(|| {
             circuit
                 .solve_dc(0, n as u32 - 1, Volts(2.0), &options)
-                .expect("converges")
-                .source_current
-        })
-    });
-
-    group.bench_function("engine_warm_challenge_chain", |b| {
-        // pre-built challenge ring so iteration cost is pure solving
-        let challenges: Vec<Circuit<BuildingBlock>> =
-            (0..8u64).map(|k| challenge_circuit(n, &vars, 0xC0 + k)).collect();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..Default::default() });
-        // prime the warm state once, outside the measurement
-        engine.solve(&challenges[0], 0, n as u32 - 1, Volts(2.0), &options).expect("converges");
-        let mut next = 0usize;
-        b.iter(|| {
-            next = (next + 1) % challenges.len();
-            engine
-                .solve(&challenges[next], 0, n as u32 - 1, Volts(2.0), &options)
                 .expect("converges")
                 .source_current
         })
@@ -64,8 +46,7 @@ fn bench_batch_api(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch_api_flow");
     group.sample_size(10);
     for threads in [1usize, 4] {
-        let batch =
-            EvalBatch::new(BatchOptions { threads, mode: EvalMode::Flow, ..Default::default() });
+        let batch = EvalBatch::new(threads);
         group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, _| {
             b.iter(|| {
                 let results = batch.run(&executors, &challenges);
@@ -77,5 +58,5 @@ fn bench_batch_api(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_warm_vs_cold, bench_batch_api);
+criterion_group!(benches, bench_cold_solve, bench_batch_api);
 criterion_main!(benches);

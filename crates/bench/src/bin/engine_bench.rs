@@ -1,8 +1,8 @@
-//! Engine scaling benchmark: measured DC solve wall-time vs device size,
-//! thread count, and warm/cold starting — including the paper's n = 900
-//! operating point, measured natively rather than extrapolated — plus a
-//! grid workload solved under both linear backends, so the dense-vs-
-//! sparse trade sits in the same report.
+//! Engine scaling benchmark: measured cold DC solve wall-time vs device
+//! size and thread count — including the paper's n = 900 operating point,
+//! measured natively rather than extrapolated — plus a grid workload
+//! solved under both linear backends, so the dense-vs-sparse trade sits in
+//! the same report.
 //!
 //! Default run writes `results/bench/engine.json` plus a telemetry report
 //! (with percentile sample summaries) under `results/bench/`. The
@@ -44,11 +44,7 @@ struct FullReport {
 #[derive(Serialize)]
 struct EngineRow {
     threads: usize,
-    cold_seconds: f64,
-    warm_mean_seconds: f64,
-    warm_solves: usize,
-    warm_repeat_seconds: f64,
-    warm_swap_seconds: f64,
+    cold_mean_seconds: f64,
     speedup_vs_cold_baseline: f64,
 }
 
@@ -57,18 +53,20 @@ struct SizeRow {
     nodes: usize,
     edges: usize,
     cold_baseline_seconds: f64,
+    cold_solves: usize,
     engines: Vec<EngineRow>,
 }
 
 /// One size's measurement: a cold [`Circuit::solve_dc`] (fresh workspace,
-/// no engine) as the baseline, then the warm-started engine at each
-/// thread count.
+/// one thread) as the baseline, then at each thread count one engine
+/// solving `solves` challenges of the same device, the baseline's first.
+/// Every solve is cold; the engine reuses only its workspace.
 ///
 /// [`Circuit::solve_dc`]: ppuf_analog::solver::Circuit::solve_dc
 fn measure_size(
     n: usize,
     threads_list: &[usize],
-    warm_repeats: usize,
+    solves: usize,
     backend: LinearBackend,
     recorder: &MemoryRecorder,
 ) -> SizeRow {
@@ -81,57 +79,32 @@ fn measure_size(
     eprintln!("n={n}: cold baseline {cold_baseline_seconds:.3}s (I = {})", baseline.source_current);
     let mut engines = Vec::new();
     for &threads in threads_list {
-        let mut engine = DcEngine::new(EngineOptions { threads, ..EngineOptions::default() });
-        let (_, cold_seconds) = time(|| {
-            engine
-                .solve_traced(&circuit, source, sink, SUPPLY, &options, recorder)
-                .expect("engine cold solve converges")
-        });
-        // the batch workload: same device, challenge after challenge —
-        // fresh control bits flip roughly half the edge biases per step
-        let mut warm = SampleSeries::new();
-        for rep in 0..warm_repeats {
-            let next = challenge_circuit(n, &vars, 0xC1 + rep as u64);
+        let mut engine = DcEngine::new(EngineOptions { threads });
+        let mut cold = SampleSeries::new();
+        for rep in 0..solves {
+            let next = challenge_circuit(n, &vars, 0xC0 + rep as u64);
             let (_, seconds) = time(|| {
                 engine
                     .solve_traced(&next, source, sink, SUPPLY, &options, recorder)
-                    .expect("warm solve converges")
+                    .expect("engine cold solve converges")
             });
-            warm.record(seconds);
+            cold.record(seconds);
         }
-        // transient-style re-solve of an already-solved operating point
-        let last = challenge_circuit(n, &vars, 0xC0 + warm_repeats as u64);
-        let (_, warm_repeat_seconds) = time(|| {
-            engine
-                .solve_traced(&last, source, sink, SUPPLY, &options, recorder)
-                .expect("repeat solve converges")
-        });
-        // per-challenge terminal swap against the warm state
-        let (swap_source, swap_sink) = (1u32.min(sink), sink - 1);
-        let (_, warm_swap_seconds) = time(|| {
-            engine
-                .solve_traced(&last, swap_source, swap_sink, SUPPLY, &options, recorder)
-                .expect("swap solve converges")
-        });
-        recorder.record_samples(&format!("engine.warm_solve_seconds.n{n}.t{threads}"), &warm);
-        let warm_mean = warm.summary().map_or(f64::NAN, |s| s.mean);
+        recorder.record_samples(&format!("engine.cold_solve_seconds.n{n}.t{threads}"), &cold);
+        let cold_mean = cold.summary().map_or(f64::NAN, |s| s.mean);
         let row = EngineRow {
             threads,
-            cold_seconds,
-            warm_mean_seconds: warm_mean,
-            warm_solves: warm_repeats,
-            warm_repeat_seconds,
-            warm_swap_seconds,
-            speedup_vs_cold_baseline: cold_baseline_seconds / warm_mean,
+            cold_mean_seconds: cold_mean,
+            speedup_vs_cold_baseline: cold_baseline_seconds / cold_mean,
         };
         eprintln!(
-            "n={n} threads={threads}: cold {cold_seconds:.3}s warm {warm_mean:.3}s \
-             (speedup {:.2}x) repeat {warm_repeat_seconds:.3}s swap {warm_swap_seconds:.3}s",
+            "n={n} threads={threads}: cold {cold_mean:.3}s mean over {solves} challenges \
+             (speedup {:.2}x)",
             row.speedup_vs_cold_baseline
         );
         engines.push(row);
     }
-    SizeRow { nodes: n, edges: n * (n - 1), cold_baseline_seconds, engines }
+    SizeRow { nodes: n, edges: n * (n - 1), cold_baseline_seconds, cold_solves: solves, engines }
 }
 
 /// One backend's measurement of the grid workload.
@@ -139,24 +112,26 @@ fn measure_size(
 struct GridBackendRow {
     requested: &'static str,
     cold_seconds: f64,
-    warm_mean_seconds: f64,
+    resolve_mean_seconds: f64,
     solver: SolverShape,
 }
 
 /// The dense-vs-sparse comparison row: the same grid device, the same
-/// challenge chain, solved under each backend.
+/// challenge chain, solved under each backend. The first solve binds a
+/// fresh engine (the sparse side pays its symbolic analysis there); the
+/// re-solves are cold solves of fresh challenges through that engine.
 #[derive(Serialize)]
 struct GridRow {
     side: usize,
     nodes: usize,
     edges: usize,
-    warm_solves: usize,
+    resolves: usize,
     backends: Vec<GridBackendRow>,
     sparse_cold_speedup: f64,
-    sparse_warm_speedup: f64,
+    sparse_resolve_speedup: f64,
 }
 
-fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
+fn measure_grid(side: usize, resolves: usize) -> GridRow {
     let vars = grid_variations(side, 0x61D + side as u64);
     let n = side * side;
     let (source, sink) = (0u32, n as u32 - 1);
@@ -166,38 +141,38 @@ fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
     {
         let options = DcOptions { backend, ..DcOptions::default() };
         let recorder = MemoryRecorder::new();
-        let mut engine = DcEngine::new(EngineOptions { threads: 1, ..EngineOptions::default() });
+        let mut engine = DcEngine::new(EngineOptions { threads: 1 });
         let circuit = grid_circuit(side, &vars, 0xD0);
         let (cold, cold_seconds) = time(|| {
             engine
                 .solve_traced(&circuit, source, sink, SUPPLY, &options, &recorder)
                 .expect("grid cold solve converges")
         });
-        let mut warm = SampleSeries::new();
-        for rep in 0..warm_repeats {
+        let mut resolve = SampleSeries::new();
+        for rep in 0..resolves {
             let next = grid_circuit(side, &vars, 0xD1 + rep as u64);
             let (_, seconds) = time(|| {
                 engine
                     .solve_traced(&next, source, sink, SUPPLY, &options, &recorder)
-                    .expect("grid warm solve converges")
+                    .expect("grid re-solve converges")
             });
-            warm.record(seconds);
+            resolve.record(seconds);
         }
         let solver = SolverShape::harvest(
             &engine,
             cold.iterations as u64,
             recorder.counter("analog.dc.jacobian_factorizations"),
         );
-        let warm_mean = warm.summary().map_or(f64::NAN, |s| s.mean);
+        let resolve_mean = resolve.summary().map_or(f64::NAN, |s| s.mean);
         eprintln!(
-            "grid {side}x{side} {requested}: cold {cold_seconds:.3}s warm {warm_mean:.3}s \
+            "grid {side}x{side} {requested}: cold {cold_seconds:.3}s re-solve {resolve_mean:.3}s \
              (I = {}, lu_nnz {})",
             cold.source_current, solver.lu_nnz
         );
         backends.push(GridBackendRow {
             requested,
             cold_seconds,
-            warm_mean_seconds: warm_mean,
+            resolve_mean_seconds: resolve_mean,
             solver,
         });
     }
@@ -206,9 +181,9 @@ fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
         side,
         nodes: n,
         edges: grid_edge_count(side),
-        warm_solves: warm_repeats,
+        resolves,
         sparse_cold_speedup: dense.cold_seconds / sparse.cold_seconds,
-        sparse_warm_speedup: dense.warm_mean_seconds / sparse.warm_mean_seconds,
+        sparse_resolve_speedup: dense.resolve_mean_seconds / sparse.resolve_mean_seconds,
         backends,
     }
 }
@@ -216,7 +191,7 @@ fn measure_grid(side: usize, warm_repeats: usize) -> GridRow {
 fn run_full(backend: LinearBackend, backend_label: &'static str) {
     let recorder = MemoryRecorder::new();
     let threads_available = std::thread::available_parallelism().map_or(1, |p| p.get());
-    // cold solves at n = 900 take minutes each, so the thread matrix
+    // cold solves at n = 900 take seconds each, so the thread matrix
     // narrows as n grows — 1 vs 4 still brackets the scaling story
     let sizes: [(usize, &[usize], usize); 4] =
         [(100, &[1, 2, 4], 5), (200, &[1, 2, 4], 5), (400, &[1, 2, 4], 3), (900, &[1, 4], 2)];
@@ -257,10 +232,10 @@ fn run_smoke(profile_mode: bool) {
     );
     if let Some(profile) = &smoke.profile {
         eprintln!(
-            "profile: device-eval self share {:.1}%, {} paths, warm overhead {:.2}x",
+            "profile: device-eval self share {:.1}%, {} paths, profiler overhead {:.2}x",
             100.0 * profile.device_eval_self_share,
             profile.paths,
-            profile.warm_overhead_ratio()
+            profile.profiler_overhead_ratio()
         );
     }
     if profile_mode {

@@ -100,10 +100,10 @@ fn main() {
     println!("  n={} cold solve {:.3}s", engine.nodes, engine.cold_seconds);
     if let Some(profile) = &engine.profile {
         println!(
-            "  profile: device-eval self share {:.1}%, {} paths, warm overhead {:.2}x",
+            "  profile: device-eval self share {:.1}%, {} paths, profiler overhead {:.2}x",
             100.0 * profile.device_eval_self_share,
             profile.paths,
-            profile.warm_overhead_ratio()
+            profile.profiler_overhead_ratio()
         );
     }
     let path =

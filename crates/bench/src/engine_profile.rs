@@ -80,8 +80,7 @@ pub fn grid_variations(side: usize, seed: u64) -> Vec<BlockVariation> {
 
 /// A complete crossbar-like circuit for one device under one challenge:
 /// fixed per-edge variation, per-edge bias selected by the challenge's
-/// control bits. This is exactly the shape the batch engine re-solves
-/// challenge after challenge.
+/// control bits: the shape a device solves challenge after challenge.
 pub fn challenge_circuit(
     n: usize,
     vars: &[BlockVariation],
@@ -199,8 +198,10 @@ impl SolverShape {
 }
 
 /// The smoke profile's sparse-workload measurement: one grid device
-/// solved cold through the engine, then re-solved warm, so the symbolic
-/// reuse chain shows up in the counters.
+/// solved through a fresh engine, then re-solved under fresh challenges
+/// through the same engine, so the symbolic reuse chain shows up in the
+/// counters. Every solve is cold; the re-solves reuse only the workspace
+/// and the symbolic analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GridSmoke {
     /// Grid side length (`nodes = side²`).
@@ -209,7 +210,8 @@ pub struct GridSmoke {
     pub nodes: u64,
     /// Cold-solve wall time, seconds.
     pub cold_seconds: f64,
-    /// Mean warm re-solve wall time over the chain, seconds.
+    /// Mean re-solve wall time over the chain, seconds. The name predates
+    /// cold-only solving; committed reports carry it.
     pub warm_mean_seconds: f64,
     /// Correctness fingerprint of the cold operating point.
     pub source_current_amps: f64,
@@ -219,7 +221,7 @@ pub struct GridSmoke {
 
 /// What the always-on hierarchical profiler measured during the smoke:
 /// where the solve time actually goes, plus the profiler's own cost on
-/// the warm path.
+/// the grid re-solves.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSummary {
     /// Device-evaluation self time as a fraction of total profiled
@@ -228,16 +230,18 @@ pub struct ProfileSummary {
     pub device_eval_self_share: f64,
     /// Distinct call paths the profiler learned during the run.
     pub paths: u64,
-    /// Mean grid warm re-solve wall time with the profiler attached.
+    /// Mean grid re-solve wall time with the profiler attached (the
+    /// `warm_` names predate cold-only solving; committed reports carry
+    /// them).
     pub warm_profiled_mean_seconds: f64,
-    /// Mean grid warm re-solve wall time with no profiler attached.
+    /// Mean grid re-solve wall time with no profiler attached.
     pub warm_unprofiled_mean_seconds: f64,
 }
 
 impl ProfileSummary {
-    /// Profiled over unprofiled warm mean — the profiler's measured
-    /// overhead on the warm-solve path (1.0 = free).
-    pub fn warm_overhead_ratio(&self) -> f64 {
+    /// Profiled over unprofiled re-solve mean — the profiler's measured
+    /// overhead on a solve (1.0 = free).
+    pub fn profiler_overhead_ratio(&self) -> f64 {
         self.warm_profiled_mean_seconds / self.warm_unprofiled_mean_seconds
     }
 }
@@ -271,9 +275,9 @@ impl EngineSmoke {
     }
 }
 
-/// Solves the n = 200 cold operating point through the batch engine —
-/// the exact code path `engine_bench --smoke` measures — then runs the
-/// grid chain that exercises the sparse backend.
+/// Solves the n = 200 cold operating point through a [`DcEngine`] — the
+/// exact code path `engine_bench --smoke` measures — then runs the grid
+/// chain that exercises the sparse backend.
 pub fn run_engine_smoke() -> EngineSmoke {
     run_engine_smoke_profiled().0
 }
@@ -283,9 +287,9 @@ pub fn run_engine_smoke() -> EngineSmoke {
 /// folded stacks (`--profile` mode of the bench binaries).
 ///
 /// The crossbar cold solve is profiled (that is where the device-eval
-/// share is measured); the grid warm chain runs once without and once
-/// with the profiler so the report carries the profiler's own measured
-/// overhead on the warm path.
+/// share is measured); the grid re-solve chain runs once without and
+/// once with the profiler so the report carries the profiler's own
+/// measured overhead.
 pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     let profiler = Arc::new(Profiler::new());
     let n = SMOKE_NODES;
@@ -294,7 +298,7 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     let options = DcOptions::default();
     let mut recorder = MemoryRecorder::new();
     recorder.set_profiler(Arc::clone(&profiler));
-    let mut engine = DcEngine::new(EngineOptions { threads: 1, ..EngineOptions::default() });
+    let mut engine = DcEngine::new(EngineOptions { threads: 1 });
     let (solution, cold_seconds) = time(|| {
         engine
             .solve_traced(&circuit, 0, n as u32 - 1, SUPPLY, &options, &recorder)
@@ -311,22 +315,22 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     let gvars = grid_variations(side, 0x61D + side as u64);
     let grid = grid_circuit(side, &gvars, 0xD0);
     let grecorder = MemoryRecorder::new();
-    let mut gengine = DcEngine::new(EngineOptions { threads: 1, ..EngineOptions::default() });
+    let mut gengine = DcEngine::new(EngineOptions { threads: 1 });
     let (gsolution, grid_cold_seconds) = time(|| {
         gengine
             .solve_traced(&grid, 0, grid_nodes as u32 - 1, SUPPLY, &options, &grecorder)
             .expect("grid smoke solve converges")
     });
-    const GRID_WARM_SOLVES: usize = 3;
-    let mut warm_total = 0.0;
-    for rep in 0..GRID_WARM_SOLVES {
+    const GRID_RESOLVES: usize = 3;
+    let mut resolve_total = 0.0;
+    for rep in 0..GRID_RESOLVES {
         let next = grid_circuit(side, &gvars, 0xD1 + rep as u64);
         let (_, seconds) = time(|| {
             gengine
                 .solve_traced(&next, 0, grid_nodes as u32 - 1, SUPPLY, &options, &grecorder)
-                .expect("grid warm solve converges")
+                .expect("grid re-solve converges")
         });
-        warm_total += seconds;
+        resolve_total += seconds;
     }
     let grid_solver = SolverShape::harvest(
         &gengine,
@@ -334,17 +338,17 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
         grecorder.counter("analog.dc.jacobian_factorizations"),
     );
 
-    // the same warm chain again with the profiler attached: the pair of
-    // means is the profiler's measured warm-path overhead
+    // the same chain again with the profiler attached: the pair of
+    // means is the profiler's measured overhead
     let mut precorder = MemoryRecorder::new();
     precorder.set_profiler(Arc::clone(&profiler));
     let mut profiled_total = 0.0;
-    for rep in 0..GRID_WARM_SOLVES {
-        let next = grid_circuit(side, &gvars, 0xD1 + (GRID_WARM_SOLVES + rep) as u64);
+    for rep in 0..GRID_RESOLVES {
+        let next = grid_circuit(side, &gvars, 0xD1 + (GRID_RESOLVES + rep) as u64);
         let (_, seconds) = time(|| {
             gengine
                 .solve_traced(&next, 0, grid_nodes as u32 - 1, SUPPLY, &options, &precorder)
-                .expect("profiled grid warm solve converges")
+                .expect("profiled grid re-solve converges")
         });
         profiled_total += seconds;
     }
@@ -355,8 +359,8 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
     let profile = ProfileSummary {
         device_eval_self_share: if solve_wall > 0.0 { eval_self / solve_wall } else { 0.0 },
         paths: snapshot.len() as u64,
-        warm_profiled_mean_seconds: profiled_total / GRID_WARM_SOLVES as f64,
-        warm_unprofiled_mean_seconds: warm_total / GRID_WARM_SOLVES as f64,
+        warm_profiled_mean_seconds: profiled_total / GRID_RESOLVES as f64,
+        warm_unprofiled_mean_seconds: resolve_total / GRID_RESOLVES as f64,
     };
 
     let smoke = EngineSmoke {
@@ -368,7 +372,7 @@ pub fn run_engine_smoke_profiled() -> (EngineSmoke, Arc<Profiler>) {
             side: side as u64,
             nodes: grid_nodes as u64,
             cold_seconds: grid_cold_seconds,
-            warm_mean_seconds: warm_total / GRID_WARM_SOLVES as f64,
+            warm_mean_seconds: resolve_total / GRID_RESOLVES as f64,
             source_current_amps: gsolution.source_current.value(),
             solver: grid_solver,
         }),

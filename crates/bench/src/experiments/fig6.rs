@@ -35,7 +35,7 @@ pub fn run(scale: Scale) {
             let ppuf = make_ppuf(n, grid, 0x0600 + instance as u64);
             let mut rng = ppuf_analog::montecarlo::stream(0x0601, instance as u64);
             let challenge = ppuf.challenge_space().random(&mut rng);
-            let model = ppuf.public_model().expect("publishable");
+            // the nominal executor's model is the published one
             let executor = ppuf.executor(Environment::NOMINAL);
             for side in NetworkSide::BOTH {
                 let analog = match executor.execute_network(side, &challenge) {
@@ -45,7 +45,7 @@ pub fn run(scale: Scale) {
                         continue;
                     }
                 };
-                let net = model.flow_network(side, &challenge).expect("valid challenge");
+                let net = executor.model().flow_network(side, &challenge).expect("valid challenge");
                 let sim = solver
                     .max_flow(&net, challenge.source, challenge.sink)
                     .expect("solvable")

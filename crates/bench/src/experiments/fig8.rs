@@ -14,7 +14,7 @@ use ppuf_analog::delay::DelayModel;
 use ppuf_analog::montecarlo::stream;
 use ppuf_analog::units::Amps;
 use ppuf_analog::variation::Environment;
-use ppuf_core::batch::{BatchOptions, EvalBatch, EvalMode};
+use ppuf_core::batch::EvalBatch;
 use ppuf_core::esg::PowerLawFit;
 use ppuf_core::{Challenge, Ppuf};
 
@@ -84,7 +84,7 @@ pub fn run(scale: Scale) {
     let challenges: Vec<Challenge> =
         (0..native_challenges).map(|_| ppufs[0].challenge_space().random(&mut rng)).collect();
     let executors: Vec<_> = ppufs.iter().map(|p| p.executor(Environment::NOMINAL)).collect();
-    let batch = EvalBatch::new(BatchOptions { mode: EvalMode::Flow, ..BatchOptions::default() });
+    let batch = EvalBatch::new(0);
     let evaluated = Instant::now();
     let results = batch.run(&executors, &challenges);
     let eval_seconds = evaluated.elapsed().as_secs_f64();

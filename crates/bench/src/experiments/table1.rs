@@ -6,7 +6,7 @@
 use ppuf_analog::montecarlo::stream;
 use ppuf_analog::units::Celsius;
 use ppuf_analog::variation::Environment;
-use ppuf_core::batch::{BatchOptions, EvalBatch, EvalMode};
+use ppuf_core::batch::EvalBatch;
 use ppuf_core::metrics::{MetricsReport, ResponseMatrix};
 use ppuf_core::{Challenge, Ppuf};
 
@@ -19,7 +19,7 @@ use crate::Scale;
 /// comparisons still yield a bit).
 fn response_matrix(ppufs: &[Ppuf], env: Environment, challenges: &[Challenge]) -> ResponseMatrix {
     let executors: Vec<_> = ppufs.iter().map(|p| p.executor(env)).collect();
-    let batch = EvalBatch::new(BatchOptions { mode: EvalMode::Flow, ..BatchOptions::default() });
+    let batch = EvalBatch::new(0);
     let results = batch.run(&executors, challenges);
     ResponseMatrix::new(
         (0..results.device_count())

@@ -15,7 +15,6 @@ use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
 use ppuf_analog::solver::{Circuit, TabulatedElement};
 use ppuf_analog::units::{Amps, Volts};
 use ppuf_analog::variation::{DiePosition, Environment, ProcessVariation};
-use ppuf_analog::TwoTerminal;
 use ppuf_maxflow::NodeId;
 
 use crate::challenge::Challenge;
@@ -35,29 +34,6 @@ pub fn edge_order(nodes: usize) -> impl Iterator<Item = (NodeId, NodeId)> {
     (0..nodes as u32).flat_map(move |u| {
         (0..nodes as u32).filter(move |&v| v != u).map(move |v| (NodeId::new(u), NodeId::new(v)))
     })
-}
-
-/// The circuit `challenge` poses to an `n`-node crossbar: edge `k` (dense
-/// order) gets `element(k, bit)` for its grid cell's control bit.
-///
-/// # Errors
-///
-/// As [`CrossbarNetwork::circuit`].
-pub(crate) fn assemble_circuit<E: TwoTerminal>(
-    nodes: usize,
-    grid: &GridPartition,
-    challenge: &Challenge,
-    mut element: impl FnMut(usize, bool) -> E,
-) -> Result<Circuit<E>, PpufError> {
-    grid.challenge_space()?.validate(challenge)?;
-    let mut circuit = Circuit::new(nodes);
-    for (k, (from, to)) in edge_order(nodes).enumerate() {
-        let edge = element(k, grid.edge_bit(challenge, from, to));
-        circuit
-            .add_element(from.index() as u32, to.index() as u32, edge)
-            .map_err(PpufError::Execution)?;
-    }
-    Ok(circuit)
 }
 
 /// One crossbar network: the per-block process variation of an `n`-node
@@ -188,9 +164,16 @@ impl CrossbarNetwork {
         v_max: Volts,
         samples: usize,
     ) -> Result<Circuit<TabulatedElement>, PpufError> {
-        assemble_circuit(self.nodes, grid, challenge, |k, bit| {
-            TabulatedElement::from_block(&self.block_at(k, bit), v_max, samples, env.temperature)
-        })
+        grid.challenge_space()?.validate(challenge)?;
+        let mut circuit = Circuit::new(self.nodes);
+        for (k, (from, to)) in edge_order(self.nodes).enumerate() {
+            let block = self.block_at(k, grid.edge_bit(challenge, from, to));
+            let element = TabulatedElement::from_block(&block, v_max, samples, env.temperature);
+            circuit
+                .add_element(from.index() as u32, to.index() as u32, element)
+                .map_err(PpufError::Execution)?;
+        }
+        Ok(circuit)
     }
 }
 

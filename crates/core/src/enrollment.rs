@@ -217,7 +217,6 @@ mod tests {
 
     #[test]
     fn batched_enrollment_matches_serial_responses() {
-        use crate::batch::BatchOptions;
         use crate::device::{Ppuf, PpufConfig};
         use ppuf_analog::variation::Environment;
 
@@ -226,7 +225,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let challenges: Vec<Challenge> = (0..12).map(|_| ppuf.random_challenge(&mut rng)).collect();
         let mut db = CrpDatabase::new();
-        let batch = EvalBatch::new(BatchOptions { threads: 2, ..Default::default() });
+        let batch = EvalBatch::new(2);
         let enrolled = db.enroll_batch(&executor, &challenges, &batch).unwrap();
         assert_eq!(db.remaining(), enrolled);
         let mut resolvable = 0;

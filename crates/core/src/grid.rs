@@ -87,23 +87,30 @@ impl GridPartition {
         row * self.grid + col
     }
 
-    /// The grid cells of the edges leaving `from`, one run per cell:
-    /// each `(cell, targets)` says that every edge `from → to` with `to`
-    /// in `targets` lies in `cell`, as [`cell_of_edge`](Self::cell_of_edge)
-    /// would say edge by edge. The runs cover `0..n` in order (`from`
-    /// itself included, though it has no edge to itself); some are empty
-    /// when `l` does not divide `n`.
+    /// The control bits `challenge` sets on the edges leaving `from`, one
+    /// run per grid cell: each `(bit, targets)` says that every edge
+    /// `from → to` with `to` in `targets` carries `bit`, as
+    /// [`edge_bit`](Self::edge_bit) would say edge by edge. The runs cover
+    /// `0..n` in order (`from` itself included, though it has no edge to
+    /// itself). When `l` does not divide `n` the last stripes are empty;
+    /// their cells yield no run and their bits are never read.
     ///
     /// # Panics
     ///
-    /// Panics if `from` is out of range.
-    pub(crate) fn out_cells(&self, from: NodeId) -> impl Iterator<Item = (usize, Range<usize>)> {
+    /// Panics if `from` is out of range or `challenge` has too few
+    /// control bits.
+    pub(crate) fn out_cells<'a>(
+        &self,
+        challenge: &'a Challenge,
+        from: NodeId,
+    ) -> impl Iterator<Item = (bool, Range<usize>)> + 'a {
         assert!(from.index() < self.nodes);
         let (nodes, grid) = (self.nodes, self.grid);
         let stripe = nodes.div_ceil(grid);
         let col = from.index() / stripe;
-        (0..grid).map(move |row| {
-            (row * grid + col, (row * stripe).min(nodes)..((row + 1) * stripe).min(nodes))
+        (0..grid).filter_map(move |row| {
+            let targets = (row * stripe).min(nodes)..((row + 1) * stripe).min(nodes);
+            (!targets.is_empty()).then(|| (challenge.control_bits[row * grid + col], targets))
         })
     }
 
@@ -176,15 +183,22 @@ mod tests {
 
     #[test]
     fn out_cell_runs_agree_with_cell_of_edge() {
-        for (nodes, grid) in [(1, 1), (4, 3), (10, 3), (40, 8), (900, 8)] {
+        // (4, 3) and (5, 4) leave their last stripe empty
+        for (nodes, grid) in [(1, 1), (4, 3), (5, 4), (10, 3), (40, 8), (900, 8)] {
             let g = GridPartition::new(nodes, grid).unwrap();
+            let challenge = Challenge {
+                source: NodeId::new(0),
+                sink: NodeId::new(nodes as u32 - 1),
+                control_bits: (0..g.cell_count()).map(|cell| cell % 3 == 1).collect(),
+            };
             for from in (0..nodes as u32).map(NodeId::new) {
                 let mut next = 0;
-                for (cell, targets) in g.out_cells(from) {
+                for (bit, targets) in g.out_cells(&challenge, from) {
                     assert_eq!(targets.start, next, "runs are contiguous");
+                    assert!(!targets.is_empty(), "no run for an empty stripe");
                     next = targets.end;
                     for to in targets.map(|v| NodeId::new(v as u32)).filter(|&to| to != from) {
-                        assert_eq!(cell, g.cell_of_edge(from, to), "{from} -> {to}");
+                        assert_eq!(bit, g.edge_bit(&challenge, from, to), "{from} -> {to}");
                     }
                 }
                 assert_eq!(next, nodes, "runs cover every node");

@@ -52,7 +52,7 @@ pub mod protocol;
 pub mod public_model;
 pub mod response;
 
-pub use batch::{BatchOptions, BatchResults, EvalBatch, EvalMode};
+pub use batch::{BatchResults, EvalBatch};
 pub use challenge::{Challenge, ChallengeSpace};
 pub use comparator::Comparator;
 pub use crossbar::CrossbarNetwork;

@@ -284,8 +284,8 @@ impl PublicModel {
         // position in the row of the edge to `v` (a run's end, when `v`
         // ends one): `from` has no edge to itself
         let at = |v: usize| v - usize::from(v > u);
-        for (cell, targets) in self.grid.out_cells(from) {
-            let published = if challenge.control_bits[cell] { &caps.bit1 } else { &caps.bit0 };
+        for (bit, targets) in self.grid.out_cells(challenge, from) {
+            let published = if bit { &caps.bit1 } else { &caps.bit0 };
             let (lo, hi) = (at(targets.start), at(targets.end));
             row[lo..hi].copy_from_slice(&published[first + lo..first + hi]);
         }

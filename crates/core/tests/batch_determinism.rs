@@ -1,11 +1,11 @@
 //! Acceptance gate: batch evaluation is byte-identical across worker
-//! thread counts, in both evaluation modes. Parallelism must only change
-//! which thread runs a job, never what any job computes.
+//! thread counts. Parallelism must only change which thread runs a job,
+//! never what any job computes.
 
 use ppuf_analog::variation::Environment;
-use ppuf_core::batch::{BatchOptions, EvalBatch, EvalMode};
+use ppuf_core::batch::EvalBatch;
 use ppuf_core::device::{Ppuf, PpufConfig};
-use ppuf_core::{Challenge, PpufError};
+use ppuf_core::Challenge;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -19,24 +19,14 @@ fn fixtures(devices: usize, challenges: usize) -> (Vec<Ppuf>, Vec<Challenge>) {
     (ppufs, challenges)
 }
 
-fn run_mode(mode: EvalMode, challenges_per_device: usize) {
-    let (ppufs, challenges) = fixtures(3, challenges_per_device);
+#[test]
+fn flow_batches_are_byte_identical_across_thread_counts() {
+    // enough challenges that each device splits into multiple jobs
+    let (ppufs, challenges) = fixtures(3, 70);
     let executors: Vec<_> = ppufs.iter().map(|p| p.executor(Environment::NOMINAL)).collect();
-    let reference = EvalBatch::new(BatchOptions {
-        threads: 1,
-        mode,
-        table_samples: Some(128),
-        ..Default::default()
-    })
-    .run(&executors, &challenges);
+    let reference = EvalBatch::new(1).run(&executors, &challenges);
     for threads in [2usize, 4] {
-        let batch = EvalBatch::new(BatchOptions {
-            threads,
-            mode,
-            table_samples: Some(128),
-            ..Default::default()
-        });
-        let results = batch.run(&executors, &challenges);
+        let results = EvalBatch::new(threads).run(&executors, &challenges);
         assert_eq!(results.device_count(), reference.device_count());
         assert_eq!(results.challenge_count(), reference.challenge_count());
         for d in 0..results.device_count() {
@@ -46,32 +36,20 @@ fn run_mode(mode: EvalMode, challenges_per_device: usize) {
                         assert_eq!(
                             got.current_a.value().to_bits(),
                             want.current_a.value().to_bits(),
-                            "{mode:?} threads={threads} device {d} challenge {c}: current_a"
+                            "threads={threads} device {d} challenge {c}: current_a"
                         );
                         assert_eq!(
                             got.current_b.value().to_bits(),
                             want.current_b.value().to_bits(),
-                            "{mode:?} threads={threads} device {d} challenge {c}: current_b"
+                            "threads={threads} device {d} challenge {c}: current_b"
                         );
                         assert_eq!(got.response, want.response);
                     }
-                    (Err(PpufError::Execution(_)), Err(PpufError::Execution(_))) => {}
                     (got, want) => {
-                        panic!("{mode:?} threads={threads} device {d} challenge {c}: {got:?} vs {want:?}")
+                        panic!("threads={threads} device {d} challenge {c}: {got:?} vs {want:?}")
                     }
                 }
             }
         }
     }
-}
-
-#[test]
-fn flow_batches_are_byte_identical_across_thread_counts() {
-    // enough challenges that flow mode produces multiple chunks per device
-    run_mode(EvalMode::Flow, 70);
-}
-
-#[test]
-fn analog_batches_are_byte_identical_across_thread_counts() {
-    run_mode(EvalMode::Analog, 6);
 }
