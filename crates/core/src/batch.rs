@@ -99,15 +99,17 @@ impl BatchResults {
     }
 }
 
+/// The machine's available parallelism, or 1 where it cannot be read:
+/// the worker count of `EvalBatch::new(0)` and of a device's set-up.
+pub(crate) fn available_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
 impl EvalBatch {
     /// Creates a batch evaluator on `threads` workers; `0` resolves to the
     /// machine's available parallelism.
     pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            threads
-        };
+        let threads = if threads == 0 { available_threads() } else { threads };
         EvalBatch { threads }
     }
 

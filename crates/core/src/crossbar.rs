@@ -85,12 +85,29 @@ impl CrossbarNetwork {
         rng: &mut R,
         offset: (f64, f64),
     ) -> Result<Self, PpufError> {
+        Self::sample_into(Vec::new(), nodes, design, process, rng, offset)
+    }
+
+    /// [`sample_at_offset`](Self::sample_at_offset) into the allocation of
+    /// `variations` (cleared first). A caller that samples on a worker
+    /// thread allocates the storage itself: memory a short-lived thread
+    /// allocates stays in that thread's allocator arena after it is
+    /// freed, out of reach of the threads that live on.
+    pub(crate) fn sample_into<R: Rng + ?Sized>(
+        mut variations: Vec<BlockVariation>,
+        nodes: usize,
+        design: BlockDesign,
+        process: &ProcessVariation,
+        rng: &mut R,
+        offset: (f64, f64),
+    ) -> Result<Self, PpufError> {
         if nodes < 2 {
             return Err(PpufError::InvalidConfig {
                 reason: format!("crossbar needs at least 2 nodes, got {nodes}"),
             });
         }
-        let mut variations = Vec::with_capacity(nodes * (nodes - 1));
+        variations.clear();
+        variations.reserve_exact(nodes * (nodes - 1));
         for (from, to) in edge_order(nodes) {
             let base = DiePosition::from_cell(to.index(), from.index(), nodes);
             let position = DiePosition { x: base.x + offset.0, y: base.y + offset.1 };
@@ -137,11 +154,30 @@ impl CrossbarNetwork {
     /// every challenge reuse them (a challenge only *selects* between
     /// them via its grid cell).
     pub fn capacities_for_bit(&self, bit: bool, v_ref: Volts, env: Environment) -> Vec<Amps> {
-        edge_order(self.nodes)
-            .map(|(from, to)| {
-                self.block(from, to, bit).characterized_capacity(v_ref, env.temperature)
-            })
-            .collect()
+        (0..self.block_count()).map(|k| self.capacity_at(k, bit, v_ref, env)).collect()
+    }
+
+    /// Writes the characterized capacities of edges `start..start +
+    /// out.len()` (dense-index order) into `out`, by the rule of
+    /// [`capacities_for_bit`](Self::capacities_for_bit): the same values
+    /// for any split of the edge range.
+    pub(crate) fn characterize_into(
+        &self,
+        bit: bool,
+        v_ref: Volts,
+        env: Environment,
+        start: usize,
+        out: &mut [f64],
+    ) {
+        for (k, slot) in (start..).zip(out) {
+            *slot = self.capacity_at(k, bit, v_ref, env).value();
+        }
+    }
+
+    /// The characterized capacity of edge `k`: its block's current at
+    /// `v_ref`.
+    fn capacity_at(&self, k: usize, bit: bool, v_ref: Volts, env: Environment) -> Amps {
+        self.block_at(k, bit).characterized_capacity(v_ref, env.temperature)
     }
 
     /// Assembles the analog circuit for one challenge: every edge gets a

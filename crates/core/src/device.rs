@@ -17,6 +17,13 @@
 //! The paper runs its statistical populations (Table 1, Fig 9, Fig 10)
 //! through SPICE; we run them through this fast path, which Fig 6
 //! justifies (the two differ by < 1 %).
+//!
+//! Setting a device up — sampling its two crossbars and characterizing
+//! their four capacity vectors — runs on every core the machine offers,
+//! in a split that depends only on the device's size, so every value is
+//! bitwise the same for any thread count.
+
+use std::sync::Mutex;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -28,12 +35,28 @@ use ppuf_analog::units::{Amps, Joules, Seconds, Volts, Watts};
 use ppuf_analog::variation::{Environment, ProcessVariation};
 use ppuf_maxflow::{Dinic, FlowNetwork};
 
+use crate::batch::available_threads;
 use crate::challenge::{Challenge, ChallengeSpace};
 use crate::comparator::Comparator;
 use crate::crossbar::CrossbarNetwork;
 use crate::error::PpufError;
 use crate::grid::GridPartition;
 use crate::public_model::{NetworkSide, PublicModel, PublishedCapacities, SimulationOutcome};
+
+/// Edges per network below which a device is generated and
+/// characterized on the calling thread alone. On a 2-vCPU host, spawning
+/// and joining a scoped thread takes ≈ 80 µs and reading the machine's
+/// parallelism ≈ 30 µs, while one characterization takes ≈ 1.5 µs: from
+/// this size on, the four vectors' 4096 characterizations take ≈ 6 ms,
+/// so starting a worker costs under 2 % of the work it shares.
+const PARALLEL_MIN_EDGES: usize = 1 << 10;
+
+/// Edges per characterization job (≈ 1.5 ms of work). Job boundaries
+/// depend only on the edge count, so each capacity comes from the same
+/// call whichever thread takes its job; taking a job costs one uncontended
+/// lock, and the last job to finish leaves the other threads idle for at
+/// most one job's time.
+const CHUNK_EDGES: usize = 1 << 10;
 
 /// Construction parameters of a PPUF.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -89,8 +112,16 @@ impl PpufConfig {
                 reason: format!("grid {} must be in 1..={}", self.grid, self.nodes),
             });
         }
-        if self.supply.value() <= 0.0 || self.supply.value().is_nan() {
-            return Err(PpufError::InvalidConfig { reason: "supply must be positive".into() });
+        // a non-positive reference voltage publishes all-zero capacities,
+        // under which every response is unresolvable
+        for (name, volts) in
+            [("supply", self.supply), ("characterization voltage", self.characterization_voltage)]
+        {
+            if !(volts.value().is_finite() && volts.value() > 0.0) {
+                return Err(PpufError::InvalidConfig {
+                    reason: format!("{name} must be finite and positive, got {volts}"),
+                });
+            }
         }
         if self.table_samples < 2 {
             return Err(PpufError::InvalidConfig {
@@ -98,6 +129,17 @@ impl PpufConfig {
             });
         }
         Ok(())
+    }
+}
+
+/// Worker threads for generating or characterizing a device with `edges`
+/// blocks per network: the machine's available parallelism, or the
+/// calling thread alone below [`PARALLEL_MIN_EDGES`].
+fn setup_threads(edges: usize) -> usize {
+    if edges < PARALLEL_MIN_EDGES {
+        1
+    } else {
+        available_threads()
     }
 }
 
@@ -151,29 +193,52 @@ impl Ppuf {
     ///
     /// Both networks share positions (and therefore systematic variation)
     /// per the §4.1 differential placement, but draw independent random
-    /// variation.
+    /// variation, each from its own stream, so a large device samples
+    /// them on two threads.
     ///
     /// # Errors
     ///
     /// Returns [`PpufError::InvalidConfig`] for inconsistent parameters.
     pub fn generate(config: PpufConfig, seed: u64) -> Result<Self, PpufError> {
         config.validate()?;
+        let threads = setup_threads(config.nodes * (config.nodes - 1));
+        Self::generate_on(config, seed, threads)
+    }
+
+    /// [`generate`](Self::generate) for a validated `config`: with more
+    /// than one thread, network B is sampled on a scoped thread, into
+    /// storage the caller allocated, while the caller samples network A.
+    /// Neither reads the other's stream, so the device is the same for
+    /// any thread count.
+    pub(crate) fn generate_on(
+        config: PpufConfig,
+        seed: u64,
+        threads: usize,
+    ) -> Result<Self, PpufError> {
         let grid = GridPartition::new(config.nodes, config.grid)?;
-        let network_a = CrossbarNetwork::sample(
-            config.nodes,
-            config.design,
-            &config.process,
-            &mut stream(seed, 0xA),
-        )?;
         let offset_b = if config.differential_placement { (0.0, 0.0) } else { (1.0, 1.0) };
-        let network_b = CrossbarNetwork::sample_at_offset(
-            config.nodes,
-            config.design,
-            &config.process,
-            &mut stream(seed, 0xB),
-            offset_b,
-        )?;
-        Ok(Ppuf { config, grid, network_a, network_b })
+        let sample = |index, offset, storage| {
+            CrossbarNetwork::sample_into(
+                storage,
+                config.nodes,
+                config.design,
+                &config.process,
+                &mut stream(seed, index),
+                offset,
+            )
+        };
+        let storage = || Vec::with_capacity(config.nodes * (config.nodes - 1));
+        let (network_a, network_b) = if threads > 1 {
+            let storage_b = storage();
+            std::thread::scope(|scope| {
+                let network_b = scope.spawn(|| sample(0xB, offset_b, storage_b));
+                let network_a = sample(0xA, (0.0, 0.0), storage());
+                (network_a, network_b.join().expect("network B sampler panicked"))
+            })
+        } else {
+            (sample(0xA, (0.0, 0.0), storage()), sample(0xB, offset_b, storage()))
+        };
+        Ok(Ppuf { config, grid, network_a: network_a?, network_b: network_b? })
     }
 
     /// The construction parameters.
@@ -217,8 +282,14 @@ impl Ppuf {
     /// Returns [`PpufError::InvalidConfig`] if the model fails
     /// [`PublicModel::check_shape`], e.g. on a capacity that is not a
     /// finite non-negative number.
+    ///
+    /// A caller that also needs the chip at nominal conditions should
+    /// build [`executor(Environment::NOMINAL)`](Self::executor) once and
+    /// read this model from its [`model`](PpufExecutor::model): each call
+    /// characterizes every block again.
     pub fn public_model(&self) -> Result<PublicModel, PpufError> {
-        let model = self.characterize(Environment::NOMINAL);
+        let threads = setup_threads(self.network_a.block_count());
+        let model = self.characterize(Environment::NOMINAL, threads);
         model.check_shape()?;
         Ok(model)
     }
@@ -227,26 +298,53 @@ impl Ppuf {
     /// executor whose flow path is the device characterized under that
     /// condition.
     pub fn executor(&self, env: Environment) -> PpufExecutor<'_> {
-        PpufExecutor { device: self, env, model: self.characterize(env) }
+        let threads = setup_threads(self.network_a.block_count());
+        PpufExecutor { device: self, env, model: self.characterize(env, threads) }
     }
 
     /// Both networks' capacities under `env`, both input bits, at the
-    /// characterization voltage scaled with the supply rail.
-    fn characterize(&self, env: Environment) -> PublicModel {
+    /// characterization voltage scaled with the supply rail, on `threads`
+    /// threads counting the caller.
+    ///
+    /// The four vectors are allocated here and cut into chunks of
+    /// [`CHUNK_EDGES`] edges; each thread takes the next chunk and writes
+    /// its capacities in place by [`CrossbarNetwork::characterize_into`],
+    /// the rule of [`CrossbarNetwork::capacities_for_bit`]. Every slot is
+    /// written once, by the same call for any thread count.
+    pub(crate) fn characterize(&self, env: Environment, threads: usize) -> PublicModel {
         let v_ref = env.scaled_supply(self.config.characterization_voltage);
-        let publish = |net: &CrossbarNetwork| {
-            let values = |bit| {
-                net.capacities_for_bit(bit, v_ref, env).into_iter().map(Amps::value).collect()
+        let edges = self.network_a.block_count();
+        let zeros = || PublishedCapacities { bit0: vec![0.0; edges], bit1: vec![0.0; edges] };
+        let (mut a, mut b) = (zeros(), zeros());
+        {
+            let jobs = [
+                (&self.network_a, false, &mut a.bit0),
+                (&self.network_a, true, &mut a.bit1),
+                (&self.network_b, false, &mut b.bit0),
+                (&self.network_b, true, &mut b.bit1),
+            ]
+            .into_iter()
+            .flat_map(|(net, bit, values)| {
+                values
+                    .chunks_mut(CHUNK_EDGES)
+                    .enumerate()
+                    .map(move |(c, chunk)| (net, bit, c * CHUNK_EDGES, chunk))
+            });
+            let jobs = Mutex::new(jobs);
+            let work = || loop {
+                // the guard drops at the end of this statement, before the job runs
+                let job = jobs.lock().expect("characterization job queue poisoned").next();
+                let Some((net, bit, start, chunk)) = job else { break };
+                net.characterize_into(bit, v_ref, env, start, chunk);
             };
-            PublishedCapacities { bit0: values(false), bit1: values(true) }
-        };
-        PublicModel::unchecked(
-            self.config.nodes,
-            self.grid,
-            publish(&self.network_a),
-            publish(&self.network_b),
-            self.config.comparator,
-        )
+            std::thread::scope(|scope| {
+                for _ in 1..threads {
+                    scope.spawn(work);
+                }
+                work();
+            });
+        }
+        PublicModel::unchecked(self.config.nodes, self.grid, a, b, self.config.comparator)
     }
 
     /// Estimated energy per evaluation at size `n` (paper §5): crossbar
@@ -405,17 +503,66 @@ mod tests {
         assert!(Ppuf::generate(PpufConfig::paper(1, 1), 0).is_err());
         assert!(Ppuf::generate(PpufConfig::paper(10, 11), 0).is_err());
         let mut cfg = PpufConfig::paper(10, 2);
-        cfg.supply = Volts(0.0);
-        assert!(Ppuf::generate(cfg, 0).is_err());
-        let mut cfg = PpufConfig::paper(10, 2);
         cfg.table_samples = 1;
         assert!(Ppuf::generate(cfg, 0).is_err());
+        // either voltage must be finite and positive: at 0, below or NaN
+        // the characterization publishes all-zero capacities and no
+        // response resolves
+        for bad in [Volts(0.0), Volts(-1.0), Volts(f64::NAN), Volts(f64::INFINITY)] {
+            let mut cfg = PpufConfig::paper(10, 2);
+            cfg.supply = bad;
+            let refused = Ppuf::generate(cfg, 0);
+            assert!(matches!(refused, Err(PpufError::InvalidConfig { .. })), "supply {bad}");
+            let mut cfg = PpufConfig::paper(10, 2);
+            cfg.characterization_voltage = bad;
+            let refused = Ppuf::generate(cfg, 0);
+            assert!(
+                matches!(refused, Err(PpufError::InvalidConfig { .. })),
+                "characterization voltage {bad}"
+            );
+        }
     }
 
     #[test]
     fn generation_is_deterministic() {
         assert_eq!(small_ppuf(5), small_ppuf(5));
         assert_ne!(small_ppuf(5), small_ppuf(6));
+    }
+
+    #[test]
+    fn set_up_is_bitwise_the_same_on_any_thread_count() {
+        // above the serial cut-off, two chunks per vector, and a grid
+        // that does not divide the node count
+        let config = PpufConfig::paper(40, 7);
+        const { assert!(40 * 39 >= PARALLEL_MIN_EDGES && 40 * 39 > CHUNK_EDGES) };
+        let p = Ppuf::generate_on(config.clone(), 17, 1).unwrap();
+        for threads in [2, 4] {
+            assert_eq!(Ppuf::generate_on(config.clone(), 17, threads).unwrap(), p, "{threads}");
+        }
+        assert_eq!(Ppuf::generate(config, 17).unwrap(), p);
+        let v_ref = p.config().characterization_voltage;
+        for env in [Environment::NOMINAL, Environment::new(0.9, Celsius(-20.0))] {
+            let oracle =
+                |side, bit| p.network(side).capacities_for_bit(bit, env.scaled_supply(v_ref), env);
+            for threads in [1, 2, 4] {
+                let model = p.characterize(env, threads);
+                for side in NetworkSide::BOTH {
+                    let published = model.capacities(side);
+                    for (bit, values) in [(false, &published.bit0), (true, &published.bit1)] {
+                        let expected = oracle(side, bit);
+                        assert_eq!(values.len(), expected.len());
+                        let first_difference = values
+                            .iter()
+                            .zip(&expected)
+                            .position(|(v, e)| v.to_bits() != e.value().to_bits());
+                        assert_eq!(
+                            first_difference, None,
+                            "{env:?} {side:?} bit {bit}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

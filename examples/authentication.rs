@@ -19,8 +19,9 @@ use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), PpufError> {
     let ppuf = Ppuf::generate(PpufConfig::paper(16, 4), 7)?;
-    let model = ppuf.public_model()?;
+    // the nominal executor's model is the published one
     let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
 
     // --- single-round authentication -------------------------------
@@ -78,7 +79,7 @@ fn main() -> Result<(), PpufError> {
     println!("tampered chain rejected");
 
     // --- deadline enforcement ---------------------------------------
-    let deadline_verifier = Verifier::new(model).with_deadline(Seconds(0.5));
+    let deadline_verifier = Verifier::new(model.clone()).with_deadline(Seconds(0.5));
     let timely = deadline_verifier.verify_timed(
         &challenge,
         &answer,
@@ -98,7 +99,7 @@ fn main() -> Result<(), PpufError> {
         AuthenticationSession, SessionConfig, SessionOutcome,
     };
     let session = AuthenticationSession::new(
-        ppuf.public_model()?,
+        model.clone(),
         SessionConfig { rounds: 2, feedback_rounds: 5, ..Default::default() },
     );
     match session.run(&executor, &mut rng)? {

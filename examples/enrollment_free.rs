@@ -44,8 +44,8 @@ fn main() -> Result<(), PpufError> {
     assert!(database.issue().is_none());
 
     // --- the PPUF way: publish once, verify forever ---------------------
-    let model = ppuf.public_model()?;
-    let verifier = Verifier::new(model);
+    // the nominal executor's model is the published one
+    let verifier = Verifier::new(executor.model().clone());
     for round in 0..8 {
         // any fresh random challenge works — nothing was pre-measured
         let challenge = ppuf.challenge_space().random(&mut rng);

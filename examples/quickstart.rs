@@ -21,8 +21,11 @@ fn main() -> Result<(), PpufError> {
 
     // 2. Characterize and publish the simulation model. This is a *public*
     //    PUF: the model hides nothing; security rests only on the
-    //    execution–simulation time gap.
-    let model = ppuf.public_model()?;
+    //    execution–simulation time gap. The chip at nominal conditions
+    //    is characterized by the same numbers, so one characterization
+    //    serves both.
+    let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model();
     println!("published capacities for both networks (bit 0 and bit 1)");
 
     // 3. Draw a random challenge: source/sink selection plus one control
@@ -37,7 +40,6 @@ fn main() -> Result<(), PpufError> {
     );
 
     // 4. The holder runs the chip (here: the analog DC solve).
-    let executor = ppuf.executor(Environment::NOMINAL);
     let execution = executor.execute(&challenge)?;
     println!(
         "execution:  I_A = {}, I_B = {}, response = {:?}",

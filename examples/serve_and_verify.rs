@@ -19,8 +19,9 @@ use maxflow_ppuf::server::wire::{ErrorKind, Request, Response};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // the device holder fabricates a chip and publishes its model
     let ppuf = Ppuf::generate(PpufConfig::paper(12, 3), 7)?;
-    let model = ppuf.public_model()?;
+    // (the nominal executor's model is the published one)
     let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model().clone();
 
     // the verifier stands up a service with a 0.5 s response deadline
     // behind the epoll front-end; every challenge it issues is fresh

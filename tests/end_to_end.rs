@@ -13,8 +13,8 @@ fn device(nodes: usize, grid: usize, seed: u64) -> Ppuf {
 #[test]
 fn device_and_public_model_agree_on_responses() {
     let ppuf = device(12, 3, 1);
-    let model = ppuf.public_model().expect("publishable");
     let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model();
     let mut rng = ChaCha8Rng::seed_from_u64(2);
     let mut checked = 0;
     for _ in 0..25 {
@@ -31,8 +31,8 @@ fn device_and_public_model_agree_on_responses() {
 fn analog_execution_matches_simulation_within_one_percent() {
     // the Fig 6 claim as an integration invariant
     let ppuf = device(10, 2, 3);
-    let model = ppuf.public_model().expect("publishable");
     let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model();
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     for _ in 0..5 {
         let challenge = ppuf.challenge_space().random(&mut rng);
@@ -101,9 +101,9 @@ fn approximation_error_bound_exceeds_the_response_margin() {
 #[test]
 fn authentication_accepts_device_rejects_forgery() {
     let ppuf = device(10, 2, 9);
-    let model = ppuf.public_model().expect("publishable");
     let executor = ppuf.executor(Environment::NOMINAL);
-    let verifier = Verifier::new(model);
+    let model = executor.model();
+    let verifier = Verifier::new(model.clone());
     let mut rng = ChaCha8Rng::seed_from_u64(10);
     for _ in 0..5 {
         let challenge = ppuf.challenge_space().random(&mut rng);
@@ -119,8 +119,8 @@ fn authentication_accepts_device_rejects_forgery() {
 #[test]
 fn feedback_chain_device_vs_model() {
     let ppuf = device(10, 2, 11);
-    let model = ppuf.public_model().expect("publishable");
     let executor = ppuf.executor(Environment::NOMINAL);
+    let model = executor.model();
     let space = ppuf.challenge_space();
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     let first = space.random(&mut rng);
