@@ -22,22 +22,32 @@
 //!
 //! Every element in the stack is *monotone*, so the composite inverse
 //! curve `V(I) = Σ V_element(I)` is monotone too, built from closed-form
-//! element inverses. The forward curve `I(ΔV)` is a bracketed root-find
-//! on `I` — the bracket is seeded at the stack's ideal saturation current
-//! (the knee of the curve) and tightened with the Illinois variant of
-//! regula falsi, falling back to plain bisection whenever an interpolated
-//! step degenerates. That keeps the bisection's robustness on arbitrarily
-//! stiff stacks (no Newton blow-ups on the nearly-flat saturation region)
-//! at a fraction of the inverse-curve evaluations. Counted on a release
-//! build, a cold root-find at the 1 V characterization point takes 25.4
-//! inverse evaluations (n = 100 and n = 300 paper devices, both bits of
-//! both networks), 5.5 of them past the stack's wall, where `V = ∞` and
-//! the next step can only bisect. In an n = 900 DC solve, a conductance
-//! secant takes 9.0 per edge and Jacobian pass, and a seeded current 3.2
-//! per edge and residual pass (7.0 per forward edge seeded from a
-//! positive current). The small-signal conductance comes from the
-//! inverse derivative, `g = 1 / V′(I)`, so it costs two closed-form
-//! probes instead of two extra forward root-finds.
+//! element inverses. The forward curve `I(ΔV)` is a root-find on `I`, in
+//! one of two ways.
+//!
+//! - **Cold** ([`TwoTerminal::current`], characterization, tabulation): a
+//!   bracket seeded at the stack's ideal saturation current (the knee of
+//!   the curve), tightened with the Illinois variant of regula falsi and
+//!   bisecting whenever an interpolated step degenerates. Counted on a
+//!   release build, it takes 25.4 inverse evaluations at the 1 V
+//!   characterization point (n = 100 and n = 300 paper devices, both bits
+//!   of both networks), 5.5 of them past the stack's wall, where `V = ∞`.
+//! - **Seeded** (the DC solver's residual passes and conductance secants):
+//!   Newton's method from a nearby current on the inverse curve, its
+//!   closed-form slope `V′(I)` and the diodes' curvature, inside the cold
+//!   root-find's bracket invariant and tolerance, falling back to the cold
+//!   root-find after 40 evaluations. `V′(0)` is finite, so an edge whose
+//!   previous current is 0 A starts there. Counted in an n = 900 DC solve
+//!   (3 Newton iterations, one thread), per call: a conductance secant
+//!   from a positive current takes 7.6 (810 011 calls), one from 0 A 2.3
+//!   (1 617 289, counting the edges reverse-biased past the window, which
+//!   need no root-find), a residual root-find from a positive current 3.3
+//!   (1 234 630) and one from 0 A 4.8 (406 927): 19.6 per edge in all,
+//!   against 43.0 for the bracket expansions they replaced.
+//!
+//! The DC Jacobian's conductance is the ±0.1 mV window secant rather than
+//! the true slope `1/V′`; see [`BuildingBlock::conductance_at_current`]
+//! for why.
 
 use serde::{Deserialize, Serialize};
 
@@ -233,6 +243,24 @@ pub struct BuildingBlock {
     variation: BlockVariation,
 }
 
+/// The inverse curve `V(I)` at one current, as the seeded root-find reads
+/// it: the voltage, its slope `V′` and the curvature Newton's steps
+/// correct for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CurvePoint {
+    v: f64,
+    slope: f64,
+    curvature: f64,
+}
+
+/// The current a [`BuildingBlock::inverse_at`] evaluation carries
+/// through the stacks, with the triode term `2i/k` all their transistors
+/// share.
+struct StackCurrent {
+    i: f64,
+    two_i_over_k: f64,
+}
+
 /// The terms of a block's inverse curve that depend only on temperature:
 /// the diodes' thermal voltage, the card's `k_eff` and each transistor's
 /// threshold. A cold forward root-find evaluates the inverse ≈ 25 times at
@@ -366,6 +394,102 @@ impl BuildingBlock {
         }
         let vgs_upper = vgs + self.bias.vb - lower;
         self.vds(i, vgs_upper, idx[0], t) + lower
+    }
+
+    /// The inverse curve at current `i` for the seeded root-find:
+    /// [`voltage_at`](Self::voltage_at), bit for bit (the same expressions,
+    /// with the triode term `2i/k` its four transistors share divided
+    /// once), so that root-find solves the very curve the cold one does;
+    /// the slope `V′(i)`, the diodes' `2·n·V_T/(I_s + i)` plus each
+    /// stack's chain rule through R1 and the upper transistor; and the
+    /// diodes' curvature `−2·n·V_T/(I_s + i)²`, which dominates `V″` below
+    /// the knee (the stacks' is left out). At `i ≤ 0` it reads `V = 0` and
+    /// the curve where it leaves the origin, its slope finite unless a
+    /// stack is cut off; past a stack's wall `V` and the slope are
+    /// infinite.
+    pub(crate) fn inverse_at(&self, i: f64, t: &TempTerms) -> CurvePoint {
+        let at = i.max(0.0);
+        let current = StackCurrent { i: at, two_i_over_k: 2.0 * at / t.k };
+        let is = self.diode.saturation_current.value();
+        let vt = t.vt.value();
+        let vgs0 = self.bias.vgs0.value();
+        let (stacks, stacks_slope) = match self.design {
+            BlockDesign::Plain => {
+                let [v, dv_di, _] = self.vds_slope(&current, vgs0 - t.vth[0].value(), t);
+                (v, dv_di)
+            }
+            BlockDesign::SingleSd => self.single_sd_slope(&current, vgs0, 0, t),
+            BlockDesign::DoubleSd => self.double_sd_slope(&current, vgs0, t, [0, 1]),
+            BlockDesign::Serial => {
+                let (a, a_slope) = self.double_sd_slope(&current, vgs0, t, [0, 1]);
+                let vgs1 = self.bias.vgs1().value();
+                let (b, b_slope) = self.double_sd_slope(&current, vgs1, t, [2, 3]);
+                (a + b, a_slope + b_slope)
+            }
+        };
+        let diode_span = 1.0 / (is + at);
+        let diodes_slope = 2.0 * vt * diode_span;
+        let v = if i <= 0.0 { 0.0 } else { 2.0 * (vt * (1.0 + at / is).ln()) + stacks };
+        CurvePoint { v, slope: diodes_slope + stacks_slope, curvature: -diodes_slope * diode_span }
+    }
+
+    /// `V_ds` a transistor at overdrive `vov` needs to carry the current,
+    /// with its partial derivatives in the current and in `vov`:
+    /// [`vds`](Self::vds)'s square law, or [`WALL`] where it cannot carry it.
+    fn vds_slope(&self, current: &StackCurrent, vov: f64, t: &TempTerms) -> [f64; 3] {
+        if vov <= 0.0 {
+            return WALL;
+        }
+        let i = current.i;
+        let isat = 0.5 * t.k * vov * vov;
+        if i < isat {
+            // triode: v = vov − √(vov² − 2i/k), so ∂v/∂i = 1/(k·√…) and
+            // ∂v/∂vov = 1 − vov/√…
+            let root = (vov * vov - current.two_i_over_k).max(0.0).sqrt();
+            let dv_di = 1.0 / (t.k * root);
+            [vov - root, dv_di, 1.0 - vov * t.k * dv_di]
+        } else if self.mos.lambda > 0.0 {
+            // saturation: v = vov + (i/isat − 1)/λ; with g = 1/(λ·isat),
+            // ∂v/∂vov = 1 − 2i·g/vov = 1 − λ·k·vov·i·g², as 1/vov = λ·k·vov·g/2
+            let lambda = self.mos.lambda;
+            let g = 1.0 / (lambda * isat);
+            [vov + (i / isat - 1.0) / lambda, g, 1.0 - lambda * t.k * vov * i * g * g]
+        } else if i == isat {
+            [vov, f64::INFINITY, f64::NEG_INFINITY]
+        } else {
+            WALL
+        }
+    }
+
+    /// [`single_sd_voltage`](Self::single_sd_voltage) and its slope: R1's
+    /// drop `i·R` both adds to the stack and lowers the overdrive.
+    fn single_sd_slope(
+        &self,
+        current: &StackCurrent,
+        vgs: f64,
+        idx: usize,
+        t: &TempTerms,
+    ) -> (f64, f64) {
+        let r = self.r1.resistance.value();
+        let vr = current.i * r;
+        let [v, dv_di, dv_dvov] = self.vds_slope(current, vgs - vr - t.vth[idx].value(), t);
+        (v + vr, dv_di + (1.0 - dv_dvov) * r)
+    }
+
+    /// [`double_sd_voltage`](Self::double_sd_voltage) and its slope: the
+    /// lower sub-stack's voltage both adds to the stack and lowers the
+    /// upper transistor's overdrive.
+    fn double_sd_slope(
+        &self,
+        current: &StackCurrent,
+        vgs: f64,
+        t: &TempTerms,
+        idx: [usize; 2],
+    ) -> (f64, f64) {
+        let (lower, lower_slope) = self.single_sd_slope(current, vgs, idx[1], t);
+        let vgs_upper = vgs + self.bias.vb.value() - lower;
+        let [v, dv_di, dv_dvov] = self.vds_slope(current, vgs_upper - t.vth[idx[0]].value(), t);
+        (v + lower, dv_di + (1.0 - dv_dvov) * lower_slope)
     }
 
     /// Ideal saturation current of one degenerated stack at gate bias
@@ -534,140 +658,64 @@ impl BuildingBlock {
                 side = 1;
             }
         }
-        let i = 0.5 * (lo + hi);
-        // a cutoff stack brackets at an infinitesimal current; report 0
-        if i < 1e-18 {
-            0.0
-        } else {
-            i
-        }
+        bracket_root(lo, hi)
     }
 
-    /// Forward curve `I(dv)` when the current `near` at a nearby voltage
-    /// is already known — e.g. the ±0.1 mV probes of the conductance
-    /// secant, where the diode bound `d(ln I)/dV ≤ 1/(2·n·Vt)` keeps the
-    /// root within a fraction of a percent of the seed. Brackets by
-    /// geometric expansion around the seed (falling back to the cold
-    /// solve if the expansion fails to bracket) and refines with the same
-    /// Illinois loop, so accuracy matches [`solve_current`] at a fraction
-    /// of the evaluations.
-    ///
-    /// [`solve_current`]: Self::solve_current
-    fn solve_current_near(&self, dv: f64, near: f64, temp: Celsius) -> f64 {
+    /// Forward curve `I(dv)` by [`newton_root`] from the current `x`, where
+    /// the inverse curve reads `at_x`, falling back to the cold root-find
+    /// where Newton gives up. This is the seeded path: each residual pass
+    /// starts from the edge's previous current, and each conductance
+    /// secant from its centre current.
+    fn solve_from(&self, dv: f64, x: f64, at_x: CurvePoint, t: &TempTerms) -> f64 {
         if dv <= 0.0 {
             return 0.0;
         }
-        let t = self.temp_terms(temp);
-        if near <= 0.0 {
-            return self.solve_cold(dv, &t);
-        }
-        let v_near = self.voltage_at(Amps(near), &t).value();
-        self.solve_current_anchored(dv, near, v_near, &t)
+        newton_root(dv, x, at_x, |i| self.inverse_at(i, t))
+            .unwrap_or_else(|| self.solve_cold(dv, t))
     }
 
-    /// [`solve_current_near`] with the seed's inverse voltage `v_near`
-    /// already evaluated — the conductance secant probes two targets from
-    /// one seed and shares this evaluation between them.
+    /// Small-signal conductance from the inverse derivative: `g = 1/V′(i)`,
+    /// with `V′` the closed-form slope of the composite inverse curve.
     ///
-    /// [`solve_current_near`]: Self::solve_current_near
-    fn solve_current_anchored(&self, dv: f64, near: f64, v_near: f64, t: &TempTerms) -> f64 {
-        if dv <= 0.0 {
-            return 0.0;
-        }
-        if near <= 0.0 || !v_near.is_finite() {
-            return self.solve_cold(dv, t);
-        }
-        let f_near = v_near - dv;
-        if f_near == 0.0 {
-            return near;
-        }
-        let (mut lo, mut f_lo, mut hi, mut f_hi);
-        if f_near < 0.0 {
-            // root above the seed
-            lo = near;
-            f_lo = f_near;
-            let mut step = 1.01;
-            loop {
-                hi = lo * step;
-                f_hi = self.voltage_at(Amps(hi), t).value() - dv;
-                if f_hi >= 0.0 {
-                    break;
-                }
-                lo = hi;
-                f_lo = f_hi;
-                step *= 4.0;
-                if step > 1e6 {
-                    return self.solve_cold(dv, t);
-                }
-            }
-        } else {
-            // root below the seed
-            hi = near;
-            f_hi = f_near;
-            let mut step = 1.01;
-            loop {
-                lo = hi / step;
-                f_lo = self.voltage_at(Amps(lo), t).value() - dv;
-                if f_lo <= 0.0 {
-                    break;
-                }
-                if lo < 1e-24 {
-                    // root is below any physical current
-                    lo = 0.0;
-                    f_lo = -dv;
-                    break;
-                }
-                hi = lo;
-                f_hi = f_lo;
-                step *= 4.0;
-            }
-        }
-        self.illinois_refine(lo, f_lo, hi, f_hi, dv, t)
-    }
-
-    /// Small-signal conductance from the inverse derivative: `g = 1/V′(i)`
-    /// with `V′` a central difference of the closed-form inverse curve.
-    ///
-    /// Two closed-form probes — no forward root-find — giving the *true*
-    /// slope of the composite curve at the operating point. Note the DC
-    /// Jacobian deliberately does **not** use this: past the diode knee
+    /// One closed-form evaluation — no forward root-find — giving the
+    /// *true* slope of the composite curve at the operating point. Note the
+    /// DC Jacobian deliberately does **not** use this: past the diode knee
     /// the true slope collapses toward the λ-suppressed saturation slope
     /// (~1e-14 S) while the solver's ±0.1 mV secant stays decades larger,
     /// and that smoothing is what keeps damped Newton's line search
     /// descending across the knee. Returns 0 for a non-conducting
-    /// operating point (`i ≤ 0`).
+    /// operating point (`i ≤ 0`) and past the stack's wall.
     pub fn conductance_at_current(&self, i: Amps, temp: Celsius) -> f64 {
         let i = i.value();
         if i <= 0.0 {
             return 0.0;
         }
-        let h = i * 1e-7;
-        let t = self.temp_terms(temp);
-        let vp = self.voltage_at(Amps(i + h), &t).value();
-        let vm = self.voltage_at(Amps(i - h), &t).value();
-        if !vp.is_finite() || !vm.is_finite() || vp <= vm {
-            return 0.0;
-        }
-        (2.0 * h) / (vp - vm)
+        1.0 / self.inverse_at(i, &self.temp_terms(temp)).slope
     }
 
     /// The ±0.1 mV window secant `(I(dv+h) − I(dv−h)) / 2h` the trait's
-    /// default conductance computes, with both endpoint root-finds seeded
-    /// from the known `current` at `dv` — a handful of closed-form
-    /// evaluations instead of two cold root-finds.
+    /// default conductance computes. The lower end's root-find starts from
+    /// the known `current` at `dv`, where the inverse curve and its slope
+    /// are evaluated once; the upper end's starts where that slope carries
+    /// the lower end across the window, which misses `I(dv+h)` only at
+    /// third order in `h`. A `current` of 0 starts both ends at 0 A.
     fn conductance_secant(&self, dv: Volts, current: Amps, temp: Celsius) -> f64 {
         let dv = dv.value();
         let h = 1e-4;
-        let seed = current.value();
-        if seed <= 0.0 {
-            let i_hi = self.solve_current(Volts(dv + h), temp).value();
-            let i_lo = self.solve_current(Volts(dv - h), temp).value();
-            return ((i_hi - i_lo) / (2.0 * h)).max(0.0);
+        if dv + h <= 0.0 {
+            return 0.0; // neither end of the window conducts
         }
         let t = self.temp_terms(temp);
-        let v_seed = self.voltage_at(Amps(seed), &t).value();
-        let i_hi = self.solve_current_anchored(dv + h, seed, v_seed, &t);
-        let i_lo = self.solve_current_anchored(dv - h, seed, v_seed, &t);
+        let x = current.value().max(0.0);
+        let at_x = self.inverse_at(x, &t);
+        let i_lo = self.solve_from(dv - h, x, at_x, &t);
+        let i_hi = if x > 0.0 {
+            // I(dv+h) = I(dv−h) + 2h·I′(dv) to third order in h, x being I(dv)
+            let guess = i_lo + 2.0 * h / at_x.slope;
+            self.solve_from(dv + h, guess, self.inverse_at(guess, &t), &t)
+        } else {
+            self.solve_from(dv + h, x, at_x, &t)
+        };
         ((i_hi - i_lo) / (2.0 * h)).max(0.0)
     }
 }
@@ -691,7 +739,100 @@ impl TwoTerminal for BuildingBlock {
     }
 
     fn current_seeded(&self, dv: Volts, seed: Amps, temp: Celsius) -> Amps {
-        Amps(self.solve_current_near(dv.value(), seed.value(), temp))
+        let dv = dv.value();
+        if dv <= 0.0 {
+            return Amps(0.0);
+        }
+        let t = self.temp_terms(temp);
+        let x = seed.value().max(0.0);
+        Amps(self.solve_from(dv, x, self.inverse_at(x, &t), &t))
+    }
+}
+
+/// [`BuildingBlock::vds_slope`] past a transistor's wall: `V_ds` and its
+/// slope in `i` infinite, and its slope in the overdrive `−∞` (less
+/// overdrive needs more `V_ds`), so every chain rule through it reads a
+/// slope of `+∞`, never `∞ − ∞`.
+const WALL: [f64; 3] = [f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY];
+
+/// The most inverse-curve evaluations [`newton_root`] makes before it
+/// gives up and the caller solves cold. In an n = 900 DC solve 99.6 % of
+/// the 1.64 M seeded root-finds take at most 6, the seed's included, and
+/// none more than 36; one from 0 A to the 1 V of a characterization
+/// takes 12–19 on the nominal blocks. The cap stops what Newton cannot
+/// finish, such as a seed decades past the wall, which only bisection
+/// brings back.
+const NEWTON_MAX_EVALS: usize = 40;
+
+/// The root a converged bracket reports: its midpoint, or 0 when that is
+/// below any physical current (a cutoff stack brackets at an
+/// infinitesimal current).
+fn bracket_root(lo: f64, hi: f64) -> f64 {
+    let i = 0.5 * (lo + hi);
+    if i < 1e-18 {
+        0.0
+    } else {
+        i
+    }
+}
+
+/// The root of `V(x) = dv > 0` on a non-decreasing curve with `V(0) = 0`,
+/// by Newton's method from `x ≥ 0`, where the curve reads `at_x`; `curve`
+/// evaluates it at any `x ≥ 0`, reading `V = ∞` past the curve's wall.
+///
+/// A bracket keeps the cold root-find's invariant `V(lo) < dv ≤ V(hi)`,
+/// with no upper end until an evaluation reaches `dv`. Each step is
+/// Newton's from the latest evaluation, with Halley's correction for the
+/// curvature the curve reports (at most doubling the step). A step that
+/// leaves the bracket bisects instead, and so does the step after an
+/// evaluation past the wall, where `V = ∞` leaves no step at all. A step
+/// shorter than the tolerance becomes a probe nine tenths of a tolerance
+/// away, so the evaluation after a converged iterate lands past the root;
+/// that also turns the zero step of an infinite slope (a cutoff stack
+/// leaves 0 A vertically) into a probe. Convergence is declared only once
+/// the bracket itself is within the cold root-find's tolerance: a small
+/// step proves nothing where rounding moves `V` by more than the step
+/// does. Returns `None` when there is nothing to bisect (a step that is
+/// not a number, with no upper end) and after [`NEWTON_MAX_EVALS`]
+/// evaluations.
+fn newton_root(
+    dv: f64,
+    mut x: f64,
+    mut at_x: CurvePoint,
+    mut curve: impl FnMut(f64) -> CurvePoint,
+) -> Option<f64> {
+    let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+    let mut evals = 0;
+    loop {
+        let CurvePoint { v, slope, curvature } = at_x;
+        let f = v - dv;
+        if f < 0.0 {
+            lo = x;
+        } else {
+            hi = x;
+        }
+        if hi - lo <= lo * 1e-14 + 1e-24 {
+            return Some(bracket_root(lo, hi));
+        }
+        if evals == NEWTON_MAX_EVALS {
+            return None;
+        }
+        let mut step = -f / slope;
+        let halley = 1.0 - 0.5 * f * curvature / (slope * slope);
+        if halley.is_finite() {
+            step /= halley.max(0.5);
+        }
+        let tol = x * 1e-14 + 1e-24;
+        let next = if step.abs() < tol { x + (0.9 * tol).copysign(step) } else { x + step };
+        x = if lo < next && next < hi {
+            next
+        } else if hi < f64::INFINITY {
+            0.5 * (lo + hi)
+        } else {
+            return None;
+        };
+        at_x = curve(x);
+        evals += 1;
     }
 }
 
@@ -979,20 +1120,192 @@ mod tests {
         }
     }
 
+    /// [`newton_root`] for `b` from `seed`, with every point it evaluates
+    /// and the inverse there, in order.
+    fn traced_newton(b: &BuildingBlock, dv: f64, seed: f64, temp: Celsius) -> Traced {
+        let t = b.temp_terms(temp);
+        let mut points = Vec::new();
+        let root = newton_root(dv, seed, b.inverse_at(seed, &t), |i| {
+            let at = b.inverse_at(i, &t);
+            points.push((i, at.v));
+            at
+        });
+        (root, points)
+    }
+
+    type Traced = (Option<f64>, Vec<(f64, f64)>);
+
+    /// Replays a traced root-find's bracket from its seed and asserts that
+    /// each evaluation lay strictly inside the bracket known before it.
+    fn assert_evaluations_inside_the_bracket(dv: f64, seed: (f64, f64), points: &[(f64, f64)]) {
+        let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+        for (k, &(x, v)) in std::iter::once(&seed).chain(points).enumerate() {
+            if k > 0 {
+                assert!(lo < x && x < hi, "evaluation {k} at {x} outside ({lo}, {hi})");
+            }
+            if v < dv {
+                lo = x;
+            } else {
+                hi = x;
+            }
+        }
+    }
+
+    fn assert_close(seeded: f64, cold: f64, rel: f64, what: &str) {
+        assert!((seeded - cold).abs() <= rel * cold.abs(), "{what}: {seeded} vs cold {cold}");
+    }
+
     #[test]
-    fn anchored_solve_seeded_far_below_the_root_falls_back_to_cold() {
+    fn seeded_solve_that_reaches_its_evaluation_cap_falls_back_to_cold() {
         let b = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
         let t = b.temp_terms(T);
         let dv = 1.0;
         let cold = b.solve_cold(dv, &t);
-        // the upward expansion multiplies its seed by 1.01·4^0·…·1.01·4^9
-        // ≈ 1.4e27 before its step passes the 1e6 cap, so a seed 30
-        // decades below the root never brackets it
-        let near = cold * 1e-30;
-        let v_near = b.voltage_at(Amps(near), &t).value();
-        assert!(v_near.is_finite() && v_near < dv, "the root lies above the seed: {v_near}");
-        let anchored = b.solve_current_anchored(dv, near, v_near, &t);
-        assert_eq!(anchored.to_bits(), cold.to_bits(), "{anchored} vs cold {cold}");
+        // 30 decades past the wall only bisection comes back, ≈ 100 halvings
+        let far = cold * 1e30;
+        let (root, points) = traced_newton(&b, dv, far, T);
+        assert_eq!((root, points.len()), (None, NEWTON_MAX_EVALS));
+        let seeded = b.current_seeded(Volts(dv), Amps(far), T).value();
+        assert_eq!(seeded.to_bits(), cold.to_bits(), "{seeded} vs cold {cold}");
+        // 30 decades below the root is as good as 0 A, which Newton leaves
+        // along the finite slope V′(0): no fallback needed
+        let (root, points) = traced_newton(&b, dv, cold * 1e-30, T);
+        assert!(points.len() < NEWTON_MAX_EVALS, "{} evaluations", points.len());
+        assert_close(root.expect("converges"), cold, 1e-12, "seeded far below");
+    }
+
+    #[test]
+    fn newton_step_that_leaves_the_bracket_bisects_instead() {
+        // above the root in the diode's concave region, Newton's step
+        // overshoots below 0 A
+        let b = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
+        let t = b.temp_terms(T);
+        let (dv, seed) = (0.02, 5e-9);
+        let CurvePoint { v, slope, .. } = b.inverse_at(seed, &t);
+        assert!(v > dv && seed - (v - dv) / slope < 0.0, "Newton's first step leaves [0, seed]");
+        let (root, points) = traced_newton(&b, dv, seed, T);
+        assert_eq!(points[0].0, 0.5 * seed, "the first step bisects [0, seed]");
+        assert_evaluations_inside_the_bracket(dv, (seed, v), &points);
+        assert_close(root.expect("converges"), b.solve_cold(dv, &t), 1e-12, "seeded above");
+    }
+
+    #[test]
+    fn step_after_an_evaluation_past_the_wall_bisects() {
+        // from just below the 1 V root Newton's step lands past the wall,
+        // where V = ∞ leaves no slope to step from
+        let b = BuildingBlock::new(BlockDesign::Serial, BlockBias::INPUT_ONE);
+        let t = b.temp_terms(T);
+        let dv = 1.0;
+        let cold = b.solve_cold(dv, &t);
+        let seed = cold * 0.999;
+        let v_seed = b.inverse_at(seed, &t).v;
+        let (root, points) = traced_newton(&b, dv, seed, T);
+        assert_eq!(points[0].1, f64::INFINITY, "the first step lands past the wall");
+        assert_eq!(points[1].0, 0.5 * (seed + points[0].0), "the next step bisects");
+        assert_evaluations_inside_the_bracket(dv, (seed, v_seed), &points);
+        assert_close(root.expect("converges"), cold, 1e-12, "seeded below the wall");
+    }
+
+    #[test]
+    fn cutoff_stack_seeded_at_zero_closes_its_bracket_at_zero() {
+        // a cutoff stack leaves 0 A vertically: the zero Newton step is
+        // lengthened to a probe that lands past the wall, so the bracket
+        // closes at 0 A after one evaluation
+        let b = BuildingBlock::new(
+            BlockDesign::Serial,
+            BlockBias { vgs0: Volts(0.1), vb: Volts(0.1), vc: Volts(1.2) },
+        )
+        .with_variation(BlockVariation::uniform(Volts(0.3)));
+        let t = b.temp_terms(T);
+        let at_zero = b.inverse_at(0.0, &t);
+        assert_eq!((at_zero.v, at_zero.slope), (0.0, f64::INFINITY));
+        let (root, points) = traced_newton(&b, 2.0, 0.0, T);
+        assert_eq!((root, points.len()), (Some(0.0), 1));
+        assert_eq!(points[0].1, f64::INFINITY);
+        let seeded = b.current_seeded(Volts(2.0), Amps(0.0), T).value();
+        assert_eq!(seeded.to_bits(), b.solve_cold(2.0, &t).to_bits());
+        // with no slope that is a number and no upper end there is
+        // nothing to step to or bisect: the caller solves cold
+        let no_slope = CurvePoint { slope: f64::NAN, ..at_zero };
+        assert_eq!(newton_root(2.0, 0.0, no_slope, |_| unreachable!()), None);
+    }
+
+    /// Random paper blocks (σ = 35 mV) under both biases at three
+    /// temperatures, with `dv` drawn over the crossbar's range.
+    fn paper_block_cases(seed: u64, per_case: usize) -> Vec<(BuildingBlock, Celsius, f64)> {
+        use rand::Rng;
+        let mut rng = crate::montecarlo::stream(seed, 0);
+        let mut cases = Vec::new();
+        for temp in [Celsius(-20.0), Celsius::NOMINAL, Celsius(80.0)] {
+            for bias in [BlockBias::INPUT_ONE, BlockBias::INPUT_ZERO] {
+                for _ in 0..per_case {
+                    let variation = BlockVariation {
+                        delta_vth: std::array::from_fn(|_| {
+                            let (u, w): (f64, f64) = (rng.gen_range(1e-12..1.0), rng.gen());
+                            let z = (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * w).cos();
+                            Volts(0.035 * z)
+                        }),
+                    };
+                    let b = BuildingBlock::new(BlockDesign::Serial, bias).with_variation(variation);
+                    cases.push((b, temp, rng.gen_range(-0.3..2.4)));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn seeded_solves_and_secants_agree_with_cold_ones() {
+        let h = 1e-4;
+        for (b, temp, dv) in paper_block_cases(0x5EED, 40) {
+            let t = b.temp_terms(temp);
+            let cold = b.current(Volts(dv), temp).value();
+            let above = b.current(Volts(dv + 0.5), temp).value();
+            let past_wall = 1e-5;
+            assert_eq!(b.inverse_at(past_wall, &t).v, f64::INFINITY, "{b:?}");
+            for seed in [0.0, cold * 1e-30, above, past_wall] {
+                let seeded = b.current_seeded(Volts(dv), Amps(seed), temp).value();
+                assert_close(seeded, cold, 1e-9, &format!("{b:?} at {dv} V from {seed}"));
+            }
+            if cold >= 1e-12 {
+                let secant = b.conductance_with_current(Volts(dv), Amps(cold), temp);
+                let cold_secant = (b.current(Volts(dv + h), temp).value()
+                    - b.current(Volts(dv - h), temp).value())
+                    / (2.0 * h);
+                assert_close(secant, cold_secant, 1e-5, &format!("{b:?} secant at {dv} V"));
+            }
+        }
+    }
+
+    #[test]
+    fn slope_evaluation_is_the_inverse_and_its_derivative() {
+        use rand::Rng;
+        let mut rng = crate::montecarlo::stream(0x510, 0);
+        for (b, temp, _) in paper_block_cases(0x51, 25) {
+            let t = b.temp_terms(temp);
+            for _ in 0..8 {
+                let i = 10f64.powf(rng.gen_range(-14.0..-6.5));
+                let CurvePoint { v, slope, .. } = b.inverse_at(i, &t);
+                // the Newton path solves the very curve the cold one does
+                assert_eq!(v.to_bits(), b.voltage_at(Amps(i), &t).value().to_bits(), "{b:?}");
+                if !v.is_finite() {
+                    continue;
+                }
+                // one-sided difference quotients that agree see no kink (a
+                // transistor's triode/saturation boundary) in the window
+                let d = i * 1e-5;
+                let v_at = |x: f64| b.voltage_at(Amps(x), &t).value();
+                let (left, right) = ((v - v_at(i - d)) / d, (v_at(i + d) - v) / d);
+                if (right - left).abs() > 1e-3 * left.abs() {
+                    continue;
+                }
+                let central = 0.5 * (left + right);
+                assert!(
+                    (slope / central - 1.0).abs() < 1e-4,
+                    "{b:?} at {i} A: {slope} vs {central}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -588,10 +588,13 @@ impl DcWorkspace {
     /// (`O(n)` of a crossbar's `O(n²)`), and it falls monotonically as the
     /// level rises, every element being incrementally passive. A bracketed
     /// Illinois search pins the balance to [`LUMPED_TOLERANCE`] and returns
-    /// the level evaluated with the smallest imbalance. With no sign change
-    /// on `[0, vs]` the level is the end the bracket reaches (the bottom
-    /// when there is no internal node, as the sum is then 0); a sum that
-    /// reads NaN counts as one taken too high.
+    /// the level evaluated with the smallest imbalance. After an
+    /// interpolated step whose secant puts the balance within half a
+    /// tolerance, it probes half a tolerance past that step, and after one
+    /// that fails to halve the bracket it bisects. With no sign change on
+    /// `[0, vs]` the level is the end the bracket reaches (the bottom when
+    /// there is no internal node, as the sum is then 0); a sum that reads
+    /// NaN counts as one taken too high.
     ///
     /// Each pass seeds its root-finds with the previous pass's currents,
     /// like [`compute_residual`](Self::compute_residual), and the search's
@@ -616,9 +619,14 @@ impl DcWorkspace {
             // which end the last step replaced: replacing the same end
             // twice halves the other end's value (the Illinois rule)
             let mut side = 0i8;
+            // the step the last interpolation's outcome chose, if any
+            let mut next: Option<f64> = None;
             while hi - lo > LUMPED_TOLERANCE {
+                let width = hi - lo;
                 let secant = (lo * f_hi - hi * f_lo) / (f_hi - f_lo);
-                let mid = if secant > lo && secant < hi { secant } else { 0.5 * (lo + hi) };
+                let interpolated = next.is_none() && secant > lo && secant < hi;
+                let mid =
+                    if interpolated { secant } else { next.take().unwrap_or(0.5 * (lo + hi)) };
                 let f = self.lumped_inflow(circuit, mid, vs, temp);
                 if f.abs() < best_f.abs() {
                     (best, best_f) = (mid, f);
@@ -638,6 +646,23 @@ impl DcWorkspace {
                         f_lo *= 0.5;
                     }
                     side = 1;
+                }
+                if interpolated {
+                    // the secant through the new end and the other puts the
+                    // balance `reach` away: within half a tolerance, a probe
+                    // half a tolerance past it closes the bracket (the steps
+                    // converge from one side); otherwise a step that failed
+                    // to halve the bracket leaves the next one to bisection
+                    // (on the plateau where both terminal stars saturate,
+                    // interpolation creeps)
+                    let (other, f_other) = if f > 0.0 { (hi, f_hi) } else { (lo, f_lo) };
+                    let reach = (f / (f - f_other)).abs() * (other - mid).abs();
+                    let probe = mid + (0.5 * LUMPED_TOLERANCE).copysign(other - mid);
+                    if reach < 0.5 * LUMPED_TOLERANCE && probe > lo && probe < hi {
+                        next = Some(probe);
+                    } else if hi - lo > 0.5 * width {
+                        next = Some(0.5 * (lo + hi));
+                    }
                 }
             }
             best

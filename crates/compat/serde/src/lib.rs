@@ -175,7 +175,6 @@ macro_rules! impl_serde_float {
                     Value::Float(f) => Ok(*f as $t),
                     Value::Int(i) => Ok(*i as $t),
                     Value::UInt(u) => Ok(*u as $t),
-                    Value::Null => Ok(<$t>::NAN), // serde_json writes NaN as null
                     other => type_error("float", other),
                 }
             }
@@ -456,6 +455,19 @@ mod tests {
         assert!(bool::from_value(&Value::Int(1)).is_err());
         assert!(u8::from_value(&Value::Int(300)).is_err());
         assert!(Vec::<u8>::from_value(&Value::Bool(false)).is_err());
+    }
+
+    #[test]
+    fn only_an_option_float_reads_null() {
+        // upstream refuses null for a float; serde_json writes a
+        // non-finite float as null, so such a float does not read back
+        assert!(f64::from_value(&Value::Null).is_err());
+        assert!(f32::from_value(&Value::Null).is_err());
+        assert_eq!(Option::<f64>::from_value(&Value::Null), Ok(None));
+        assert_eq!(
+            <[Option<f64>; 2]>::from_value(&[None, Some(0.5)].to_value()),
+            Ok([None, Some(0.5)])
+        );
     }
 
     #[test]

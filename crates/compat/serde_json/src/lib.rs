@@ -4,9 +4,12 @@
 //! Floats print via Rust's shortest-round-trip formatting (`{:?}`), so
 //! every finite `f64` survives `to_string` → `from_str` exactly —
 //! matching upstream's `float_roundtrip` feature. Non-finite floats
-//! serialize as `null`, as upstream does. Parsing refuses input nested
-//! deeper than [`MAX_DEPTH`] levels, upstream's recursion limit, so a
-//! hostile payload cannot exhaust the parsing thread's stack.
+//! serialize as `null`, as upstream does, and a float refuses `null` on
+//! the way back, as upstream's does: a non-finite float does not survive
+//! the round trip, and only an `Option` float reads `null` (as `None`).
+//! Parsing refuses input nested deeper than [`MAX_DEPTH`] levels,
+//! upstream's recursion limit, so a hostile payload cannot exhaust the
+//! parsing thread's stack.
 //!
 //! [`serde_json`]: https://crates.io/crates/serde_json
 

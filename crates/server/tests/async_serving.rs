@@ -340,7 +340,7 @@ fn inconsistent_register_models_are_refused_and_serving_continues() {
         let end = start + text[start..].find(',').expect("two entries");
         format!("{}-1.0{}", &text[..start], &text[end..])
     });
-    // a comparator of nulls, which read back as NaN
+    // a comparator of nulls, which no float reads
     let comparator = json.find(r#""comparator":{"#).expect("comparator") + r#""comparator":"#.len();
     let comparator_end = comparator + json[comparator..].find('}').expect("closing brace") + 1;
     let nulled = format!(
@@ -356,25 +356,29 @@ fn inconsistent_register_models_are_refused_and_serving_continues() {
         nulled,
     ];
 
+    // every model goes out as the text of a raw wire-1.x Register frame:
+    // the nulled one cannot be sent as a `Request`, since it does not
+    // deserialize
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    let mut exchange = |request: &Request| {
-        ppuf_server::wire::send_message(&mut stream, request).expect("send");
-        ppuf_server::wire::recv_message::<_, Response>(&mut stream)
-            .expect("read")
-            .expect("the server answered")
+    let mut exchange = |frame: &[u8]| {
+        let reply = raw_json_exchange(&mut stream, frame);
+        let text = std::str::from_utf8(&reply[4..]).expect("a UTF-8 frame");
+        serde_json::from_str::<Response>(text).expect("a response frame")
     };
     for (i, text) in tampered.iter().enumerate() {
-        let model: PublicModel = serde_json::from_str(text).expect("still deserializes");
+        let parses = serde_json::from_str::<PublicModel>(text).is_ok();
+        assert_eq!(parses, i < 4, "model {i} must fail only its shape check, or not parse");
         let device_id = format!("tampered-{i}");
-        let response = exchange(&Request::Register { device_id: device_id.clone(), model });
+        let register = format!(r#"{{"Register":{{"device_id":"{device_id}","model":{text}}}}}"#);
+        let response = exchange(&raw_frame_of(register.as_bytes()));
         assert!(
             matches!(&response, Response::Error { kind: ErrorKind::Malformed, message, .. }
-                if message.starts_with("unusable model: ")),
+                if message.starts_with(if parses { "unusable model: " } else { "json error: " })),
             "model {i}: {response:?}"
         );
-        let response =
-            exchange(&Request::SubmitAnswer { device_id, nonce: 1, answer: answer.clone() });
+        let submit = Request::SubmitAnswer { device_id, nonce: 1, answer: answer.clone() };
+        let response = exchange(&json_frame_of(&submit));
         assert!(
             matches!(response, Response::Error { kind: ErrorKind::UnknownDevice, .. }),
             "model {i}: {response:?}"
