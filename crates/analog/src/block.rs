@@ -25,9 +25,9 @@
 //! element inverses. The forward curve `I(ΔV)` is a root-find on `I`, in
 //! one of two ways.
 //!
-//! - **Cold** ([`TwoTerminal::current`], characterization, tabulation): a
-//!   bracket seeded at the stack's ideal saturation current (the knee of
-//!   the curve), tightened with the Illinois variant of regula falsi and
+//! - **Cold** ([`TwoTerminal::current`], characterization): a bracket
+//!   seeded at the stack's ideal saturation current (the knee of the
+//!   curve), tightened with the Illinois variant of regula falsi and
 //!   bisecting whenever an interpolated step degenerates. Counted on a
 //!   release build, it takes 25.4 inverse evaluations at the 1 V
 //!   characterization point (n = 100 and n = 300 paper devices, both bits
@@ -80,8 +80,8 @@ pub trait TwoTerminal {
     /// Current and conductance at `dv` in one call.
     ///
     /// The Newton stamping loop needs both at the same operating point;
-    /// implementations whose two evaluations share work (a root-find, a
-    /// table segment lookup) override this to pay for that work once. The
+    /// implementations whose two evaluations share work (a building
+    /// block's root-find) override this to pay for that work once. The
     /// default simply calls both methods.
     fn current_and_conductance(&self, dv: Volts, temp: Celsius) -> (Amps, f64) {
         (self.current(dv, temp), self.conductance(dv, temp))
@@ -106,33 +106,6 @@ pub trait TwoTerminal {
     fn current_seeded(&self, dv: Volts, seed: Amps, temp: Celsius) -> Amps {
         let _ = seed;
         self.current(dv, temp)
-    }
-}
-
-/// References to elements are elements too, so a [`Circuit`] can borrow
-/// its edge curves from a shared per-device table cache instead of owning
-/// (and re-tabulating) them per challenge.
-///
-/// [`Circuit`]: crate::solver::Circuit
-impl<T: TwoTerminal + ?Sized> TwoTerminal for &T {
-    fn current(&self, dv: Volts, temp: Celsius) -> Amps {
-        (**self).current(dv, temp)
-    }
-
-    fn conductance(&self, dv: Volts, temp: Celsius) -> f64 {
-        (**self).conductance(dv, temp)
-    }
-
-    fn current_and_conductance(&self, dv: Volts, temp: Celsius) -> (Amps, f64) {
-        (**self).current_and_conductance(dv, temp)
-    }
-
-    fn conductance_with_current(&self, dv: Volts, current: Amps, temp: Celsius) -> f64 {
-        (**self).conductance_with_current(dv, current, temp)
-    }
-
-    fn current_seeded(&self, dv: Volts, seed: Amps, temp: Celsius) -> Amps {
-        (**self).current_seeded(dv, seed, temp)
     }
 }
 
@@ -331,7 +304,7 @@ impl BuildingBlock {
 
     /// The inverse curve's temperature terms at `temp`, evaluated once so
     /// that every inverse evaluation of a forward root-find shares them.
-    pub(crate) fn temp_terms(&self, temp: Celsius) -> TempTerms {
+    fn temp_terms(&self, temp: Celsius) -> TempTerms {
         TempTerms {
             vt: self.diode.thermal_voltage(temp),
             k: self.mos.k_eff(temp),
@@ -351,7 +324,7 @@ impl BuildingBlock {
     /// [`voltage_for_current`](Self::voltage_for_current) at temperature
     /// terms already evaluated: the same expressions in the same order, so
     /// the same bits.
-    pub(crate) fn voltage_at(&self, i: Amps, t: &TempTerms) -> Volts {
+    fn voltage_at(&self, i: Amps, t: &TempTerms) -> Volts {
         if i.value() <= 0.0 {
             return Volts(0.0);
         }

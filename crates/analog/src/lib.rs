@@ -32,7 +32,6 @@
 pub mod block;
 pub mod delay;
 pub mod device;
-pub mod iv;
 pub mod montecarlo;
 pub mod solver;
 pub mod units;

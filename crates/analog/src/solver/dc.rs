@@ -43,9 +43,9 @@ pub struct CircuitEdge<E> {
 
 /// A network of two-terminal elements on `node_count` nodes.
 ///
-/// Generic over the element type so the PPUF layer can choose between the
-/// exact [`BuildingBlock`](crate::block::BuildingBlock) curves and the fast
-/// [`TabulatedElement`](crate::solver::tabulated::TabulatedElement).
+/// The crossbar's edges are [`BuildingBlock`](crate::block::BuildingBlock)s;
+/// the element type is generic so tests can substitute simpler
+/// [`TwoTerminal`] elements.
 #[derive(Debug, Clone)]
 pub struct Circuit<E> {
     node_count: usize,
@@ -233,17 +233,6 @@ impl<E: TwoTerminal> Circuit<E> {
     /// The circuit's edges.
     pub fn edges(&self) -> &[CircuitEdge<E>] {
         &self.edges
-    }
-
-    /// Per-edge currents at the given node voltages.
-    pub fn edge_currents(&self, voltages: &[Volts], temp: Celsius) -> Vec<Amps> {
-        self.edges
-            .iter()
-            .map(|e| {
-                let dv = voltages[e.from as usize] - voltages[e.to as usize];
-                e.element.current(dv, temp)
-            })
-            .collect()
     }
 
     /// Solves for the DC operating point with `source` pinned at `vs` and

@@ -371,6 +371,9 @@ fn backward_euler_step<E: TwoTerminal + Sync>(
     }
 }
 
+/// Net current leaving `source` at `voltages`. Only the edges that touch
+/// the source are evaluated: on a building block each evaluation is a
+/// root-find.
 fn source_current<E: TwoTerminal>(
     circuit: &Circuit<E>,
     voltages: &[Volts],
@@ -378,12 +381,12 @@ fn source_current<E: TwoTerminal>(
     temp: Celsius,
 ) -> Amps {
     let mut total = 0.0;
-    for e in circuit.edges() {
+    for e in circuit.edges().iter().filter(|e| e.from == source || e.to == source) {
         let dv = voltages[e.from as usize] - voltages[e.to as usize];
         let i = e.element.current(dv, temp).value();
         if e.from == source {
             total += i;
-        } else if e.to == source {
+        } else {
             total -= i;
         }
     }

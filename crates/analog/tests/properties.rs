@@ -1,13 +1,11 @@
 //! Property-based tests for the analog substrate: incremental passivity,
-//! inverse consistency, tabulation fidelity, and solver invariants hold
-//! for arbitrary variation and bias.
+//! inverse consistency, and solver invariants hold for arbitrary
+//! variation and bias.
 
 use proptest::prelude::*;
 
 use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock, TwoTerminal};
-use ppuf_analog::solver::{
-    simulate_step_response, Circuit, DcOptions, TabulatedElement, TransientOptions,
-};
+use ppuf_analog::solver::{simulate_step_response, Circuit, DcOptions, TransientOptions};
 use ppuf_analog::units::{Amps, Celsius, Farads, Seconds, Volts};
 
 fn any_design() -> impl Strategy<Value = BlockDesign> {
@@ -62,17 +60,6 @@ proptest! {
             let back = block.voltage_for_current(i, temp).value();
             prop_assert!((back - dv).abs() < 1e-6, "dv {dv} → i {} → {back}", i.value());
         }
-    }
-
-    #[test]
-    fn tabulation_tracks_exact_curve(block in any_block(), dv in 0.0f64..2.4) {
-        let temp = Celsius::NOMINAL;
-        let table = TabulatedElement::from_block(&block, Volts(2.5), 2048, temp);
-        let exact = block.current(Volts(dv), temp).value();
-        let fast = table.current(Volts(dv), temp).value();
-        let budget = table.max_current().value() * 2e-3 + 1e-15;
-        prop_assert!((exact - fast).abs() <= budget,
-            "dv {dv}: exact {exact} vs table {fast}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use ppuf_analog::montecarlo::stream;
 use ppuf_analog::solver::{simulate_step_response_traced, DcOptions, TransientOptions};
-use ppuf_analog::units::{Farads, Seconds, Volts};
+use ppuf_analog::units::{Farads, Seconds};
 use ppuf_analog::variation::Environment;
 use ppuf_attack::arbiter::ArbiterPuf;
 use ppuf_attack::harness::{evaluate_attack_traced, ArbiterOracle, AttackConfig};
@@ -49,10 +49,9 @@ fn main() {
     reporter.counter_add("report.device_nodes", nodes as u64);
 
     // --- analog DC operating point ------------------------------------
-    // modest table resolution keeps the n*(n-1)-edge circuit cheap to build
     let circuit = ppuf
         .network(NetworkSide::A)
-        .circuit(&challenge, ppuf.grid(), env, Volts(supply.value() * 1.25), 64)
+        .circuit(&challenge, ppuf.grid())
         .expect("crossbar circuit assembles");
     let options =
         DcOptions { temperature: env.temperature, trace_residuals: true, ..DcOptions::default() };

@@ -14,7 +14,7 @@
 //! it is excluded by construction here.)
 
 use ppuf_analog::montecarlo::stream;
-use ppuf_analog::solver::{simulate_step_response, Circuit, TabulatedElement, TransientOptions};
+use ppuf_analog::solver::{simulate_step_response, TransientOptions};
 use ppuf_analog::units::{Farads, Seconds, Volts};
 use ppuf_analog::variation::Environment;
 use ppuf_core::esg::PowerLawFit;
@@ -81,10 +81,8 @@ fn run_corner(scale: Scale, sigma_vth: f64) {
             let mut worst = 0.0f64;
             let mut failed = false;
             for side in NetworkSide::BOTH {
-                let circuit: Circuit<TabulatedElement> = ppuf
-                    .network(side)
-                    .circuit(&challenge, ppuf.grid(), Environment::NOMINAL, Volts(2.5), 512)
-                    .expect("assembles");
+                let circuit =
+                    ppuf.network(side).circuit(&challenge, ppuf.grid()).expect("assembles");
                 match simulate_step_response(
                     &circuit,
                     challenge.source.index() as u32,

@@ -20,7 +20,8 @@ fn parse<T: for<'de> serde::Deserialize<'de>>(path: &str) -> T {
 
 #[test]
 fn committed_reports_parse_in_both_schema_versions() {
-    let v1: Report = parse("results/telemetry/run_n100.json");
+    // the one schema-v1 report, kept where no tool writes its output
+    let v1: Report = parse("crates/bench/tests/fixtures/run_n100.json");
     assert_eq!((v1.schema_version, v1.label.as_str()), (1, "run_n100"));
     assert!(v1.events.is_empty() && v1.traces.is_empty(), "v1 predates both sections");
 

@@ -15,6 +15,11 @@ fn crp_space_runs() {
 }
 
 #[test]
+fn fig6_runs() {
+    experiments::fig6::run(Scale::Quick);
+}
+
+#[test]
 fn fig7_runs() {
     experiments::fig7::run(Scale::Quick);
 }

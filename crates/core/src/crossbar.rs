@@ -12,7 +12,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use ppuf_analog::block::{BlockBias, BlockDesign, BlockVariation, BuildingBlock};
-use ppuf_analog::solver::{Circuit, TabulatedElement};
+use ppuf_analog::solver::Circuit;
 use ppuf_analog::units::{Amps, Volts};
 use ppuf_analog::variation::{DiePosition, Environment, ProcessVariation};
 use ppuf_maxflow::NodeId;
@@ -180,12 +180,9 @@ impl CrossbarNetwork {
         self.block_at(k, bit).characterized_capacity(v_ref, env.temperature)
     }
 
-    /// Assembles the analog circuit for one challenge: every edge gets a
-    /// tabulated copy of its block's I–V curve under the challenge bit its
-    /// grid cell assigns.
-    ///
-    /// `samples` controls the interpolation-table density (relative
-    /// current error ≈ `1/samples`).
+    /// Assembles the analog circuit for one challenge: edge `k` carries
+    /// its building block under the challenge bit its grid cell assigns.
+    /// Temperature and supply are the solve's, not the circuit's.
     ///
     /// # Errors
     ///
@@ -196,17 +193,13 @@ impl CrossbarNetwork {
         &self,
         challenge: &Challenge,
         grid: &GridPartition,
-        env: Environment,
-        v_max: Volts,
-        samples: usize,
-    ) -> Result<Circuit<TabulatedElement>, PpufError> {
+    ) -> Result<Circuit<BuildingBlock>, PpufError> {
         grid.challenge_space()?.validate(challenge)?;
         let mut circuit = Circuit::new(self.nodes);
         for (k, (from, to)) in edge_order(self.nodes).enumerate() {
             let block = self.block_at(k, grid.edge_bit(challenge, from, to));
-            let element = TabulatedElement::from_block(&block, v_max, samples, env.temperature);
             circuit
-                .add_element(from.index() as u32, to.index() as u32, element)
+                .add_element(from.index() as u32, to.index() as u32, block)
                 .map_err(PpufError::Execution)?;
         }
         Ok(circuit)
@@ -308,7 +301,7 @@ mod tests {
         let grid = GridPartition::new(6, 2).unwrap();
         let bad =
             Challenge { source: NodeId::new(0), sink: NodeId::new(5), control_bits: vec![true; 9] };
-        assert!(net.circuit(&bad, &grid, Environment::NOMINAL, Volts(2.5), 64).is_err());
+        assert!(net.circuit(&bad, &grid).is_err());
     }
 
     #[test]
@@ -320,10 +313,20 @@ mod tests {
             sink: NodeId::new(4),
             control_bits: vec![true, false, true, false],
         };
-        let circuit =
-            net.circuit(&challenge, &grid, Environment::NOMINAL, Volts(2.5), 128).unwrap();
+        let circuit = net.circuit(&challenge, &grid).unwrap();
         assert_eq!(circuit.edges().len(), 20);
         assert_eq!(circuit.node_count(), 5);
+        // every edge holds its own block, under its own cell's bit; both
+        // bits occur
+        let mut bits = [false; 2];
+        for (edge, (from, to)) in circuit.edges().iter().zip(edge_order(5)) {
+            assert_eq!((edge.from, edge.to), (from.index() as u32, to.index() as u32));
+            let bit = grid.edge_bit(&challenge, from, to);
+            assert_eq!(edge.element, net.block(from, to, bit), "{from:?} -> {to:?}");
+            assert_ne!(edge.element, net.block(from, to, !bit), "{from:?} -> {to:?}");
+            bits[usize::from(bit)] = true;
+        }
+        assert_eq!(bits, [true, true]);
     }
 
     #[test]

@@ -75,8 +75,6 @@ pub struct PpufConfig {
     pub process: ProcessVariation,
     /// Comparator parameters.
     pub comparator: Comparator,
-    /// Samples per tabulated I–V curve in the analog path.
-    pub table_samples: usize,
     /// Paper §4.1 side-by-side differential placement: when `true`
     /// (default) both networks share die positions so systematic
     /// variation cancels in the comparator; `false` places network B a
@@ -96,7 +94,6 @@ impl PpufConfig {
             characterization_voltage: Volts(1.0),
             process: ProcessVariation::new(),
             comparator: Comparator::default(),
-            table_samples: 1024,
             differential_placement: true,
         }
     }
@@ -122,11 +119,6 @@ impl PpufConfig {
                     reason: format!("{name} must be finite and positive, got {volts}"),
                 });
             }
-        }
-        if self.table_samples < 2 {
-            return Err(PpufError::InvalidConfig {
-                reason: "need at least 2 table samples".into(),
-            });
         }
         Ok(())
     }
@@ -409,15 +401,8 @@ impl PpufExecutor<'_> {
         side: NetworkSide,
         challenge: &Challenge,
     ) -> Result<Amps, PpufError> {
-        let cfg = &self.device.config;
-        let supply = self.env.scaled_supply(cfg.supply);
-        let circuit = self.device.network(side).circuit(
-            challenge,
-            &self.device.grid,
-            self.env,
-            Volts(supply.value() * 1.25),
-            cfg.table_samples,
-        )?;
+        let supply = self.env.scaled_supply(self.device.config.supply);
+        let circuit = self.device.network(side).circuit(challenge, &self.device.grid)?;
         let options = DcOptions { temperature: self.env.temperature, ..DcOptions::default() };
         let solution = circuit
             .solve_dc(
@@ -502,9 +487,6 @@ mod tests {
     fn config_validation() {
         assert!(Ppuf::generate(PpufConfig::paper(1, 1), 0).is_err());
         assert!(Ppuf::generate(PpufConfig::paper(10, 11), 0).is_err());
-        let mut cfg = PpufConfig::paper(10, 2);
-        cfg.table_samples = 1;
-        assert!(Ppuf::generate(cfg, 0).is_err());
         // either voltage must be finite and positive: at 0, below or NaN
         // the characterization publishes all-zero capacities and no
         // response resolves
